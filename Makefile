@@ -2,13 +2,14 @@
 # the workflow can never drift: `make test` is exactly the tier-1
 # gate, `make lint` / `make coverage` / `make bench-smoke` are the CI
 # jobs, `make bench-nightly` is the scheduled full-mode throughput
-# sweep, `make cluster-demo` is the multi-FPGA acceptance run.
+# sweep, `make cluster-demo` is the multi-FPGA acceptance run, and
+# `make perf` runs the repo benchmark declared in BENCHMARK.json.
 
 PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: test lint coverage bench-smoke bench-full bench-nightly \
-	cluster-demo chaos-smoke clean
+	cluster-demo chaos-smoke perf clean
 
 test:
 	$(PYTHON) -m pytest -x -q
@@ -56,6 +57,19 @@ chaos-smoke:
 	REPRO_BENCH_FAST=1 $(PYTHON) -m pytest -q \
 		benchmarks/bench_fault_tolerance.py
 	$(PYTHON) -m repro cluster --shards 8 --faults 2019 --replicas 2
+
+# The repo benchmark (perfbench/run.py, one workload per process):
+# each workload BENCHMARK.json declares, end to end and then traced,
+# whose per-layer counts are checked against perfbench/counts.json.
+# Results land in perfbench/out/; `python3 perfbench/report.py`
+# renders the traced stage shares.
+perf:
+	for w in $$($(PYTHON) -c "import json; print(*(w['name'] for w in \
+			json.load(open('BENCHMARK.json'))['workloads']))"); do \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --trace 0 && \
+		$(PYTHON) perfbench/run.py --workload $$w --seed 1 --trace 1 \
+			|| exit 1; \
+	done
 
 clean:
 	rm -rf .pytest_cache .ruff_cache .coverage htmlcov

@@ -2,18 +2,20 @@
 
 The nightly bench workflow appends one record per run to the
 trajectory file (see ``bench_fv_throughput.py``); this script reduces
-the chain to a speedup-over-time table for the workflow summary::
+the chain to a performance-over-time table for the workflow summary::
 
     python benchmarks/render_trajectory.py \
         benchmarks/results/BENCH_fv_ops.json >> "$GITHUB_STEP_SUMMARY"
 
 One row per record (oldest first): when it was measured, at which
-commit, the headline Mult/Rotate speedups over ``per_row_mode``, and
-the per-ring-degree Mult speedups of the sweep. Sweep columns union
-over every record so old records (measured before a ring size was
-supported) render blank cells instead of breaking the table. Exits
-non-zero on a missing file; an empty trajectory renders a note, not
-an empty table.
+commit, the headline Mult/Rotate wall time (ms and ops/s), and the
+per-ring-degree Mult wall time of the sweep. Records written before
+the gates became absolute carry a speedup over a since-deleted
+per-row baseline instead; those cells render as that speedup. Sweep
+columns union over every record so old records (measured before a
+ring size was supported) render blank cells instead of breaking the
+table. A missing, empty or unparsable file renders a note, not an
+empty table.
 
 ``fv_cores`` records (the cores-vs-throughput sweep) render as a
 second, workers-vs-speedup table: one column per
@@ -36,7 +38,7 @@ def render(records: list[dict]) -> str:
     records = [r for r in records
                if "cores" not in r and "optim" not in r
                and "fault" not in r and "resident" not in r]
-    lines = ["## FV hot-path speedup trajectory", ""]
+    lines = ["## FV hot-path trajectory", ""]
     if not records and not cores_records:
         lines.append("_No trajectory records yet._")
         return "\n".join(lines) + "\n"
@@ -53,10 +55,10 @@ def render(records: list[dict]) -> str:
             str(meta.get("recorded_at", "?")).split("T")[0],
             str(meta.get("git_sha", "?")),
             str(record.get("mode", "?")),
-            _speedup(record.get("mult", {}).get("speedup")),
-            _speedup(record.get("rotate", {}).get("speedup")),
-        ] + [_speedup(by_n[n]["mult_speedup"]) if n in by_n else ""
-             for n in sweep_ns]
+            _cell(record.get("mult", {}), "ms", "speedup"),
+            _cell(record.get("rotate", {}), "ms", "speedup"),
+        ] + [_cell(by_n[n], "mult_ms", "mult_speedup") if n in by_n
+             else "" for n in sweep_ns]
         lines.append("| " + " | ".join(row) + " |")
     if records:
         latest = records[-1]
@@ -129,8 +131,8 @@ def render(records: list[dict]) -> str:
             row = [
                 str(meta.get("recorded_at", "?")).split("T")[0],
                 str(meta.get("git_sha", "?")),
-            ] + [_speedup(by_n[n]["mult_speedup"]) if n in by_n else ""
-                 for n in resident_ns]
+            ] + [_cell(by_n[n], "mult_resident_ms", "mult_speedup")
+                 if n in by_n else "" for n in resident_ns]
             lines.append("| " + " | ".join(row) + " |")
     if fault_records:
         lines += ["", "### Fault tolerance (mid-run board kill)", ""]
@@ -157,6 +159,15 @@ def render(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _cell(point: dict, ms_key: str, speedup_key: str) -> str:
+    """Absolute wall time and ops/s; the recorded speedup for records
+    that predate the absolute gates."""
+    if speedup_key in point:
+        return _speedup(point[speedup_key])
+    ms = point.get(ms_key)
+    return f"{ms:.1f} ms ({1e3 / ms:.1f}/s)" if ms else ""
+
+
 def _percent(value) -> str:
     return f"{value:.0%}" if isinstance(value, (int, float)) else ""
 
@@ -172,20 +183,20 @@ def main(argv: list[str]) -> int:
     # a missing, empty or unparsable trajectory is a note in the
     # summary (exit 0), not a red workflow step.
     if not path.is_file():
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## FV hot-path trajectory\n\n"
               f"_No trajectory file at `{path}` yet — run the bench "
               "to record one._")
         return 0
     text = path.read_text().strip()
     if not text:
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## FV hot-path trajectory\n\n"
               f"_Trajectory file `{path}` is empty — run the bench "
               "to record the first entry._")
         return 0
     try:
         loaded = json.loads(text)
     except json.JSONDecodeError as exc:
-        print("## FV hot-path speedup trajectory\n\n"
+        print("## FV hot-path trajectory\n\n"
               f"_Trajectory file `{path}` is not valid JSON "
               f"({exc}) — fix or regenerate it._")
         return 0

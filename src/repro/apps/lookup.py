@@ -25,8 +25,8 @@ functionally or replays against the simulated serving cluster
 from __future__ import annotations
 
 from ..api.program import CiphertextHandle, HEProgram
+from ..api.session import Session
 from ..errors import ParameterError
-from ._compat import adopt_session, as_handle, unwrap
 
 
 def selection_depth(table_size: int) -> int:
@@ -36,22 +36,10 @@ def selection_depth(table_size: int) -> int:
 
 
 class EncryptedLookupTable:
-    """Server holding a public table, queried with encrypted indices.
+    """Server holding a public table, queried with encrypted indices."""
 
-    Construct with ``EncryptedLookupTable(session, table)``; the legacy
-    ``(context, keys, table)`` spelling still works but is deprecated.
-    """
-
-    def __init__(self, session, keys_or_table=None, table=None) -> None:
-        if table is None:
-            self.session, self._legacy = adopt_session(
-                session, app="EncryptedLookupTable")
-            table = keys_or_table
-        else:
-            self.session, self._legacy = adopt_session(
-                session, keys_or_table, app="EncryptedLookupTable")
-        if table is None:
-            raise ParameterError("the lookup table is required")
+    def __init__(self, session: Session, table: list[int]) -> None:
+        self.session = session
         if self.session.params.t <= max(table, default=0):
             raise ParameterError(
                 "table values must fit below the plaintext modulus"
@@ -64,14 +52,12 @@ class EncryptedLookupTable:
 
     # -- client side ---------------------------------------------------------------
 
-    def encrypt_index(self, index: int) -> list:
+    def encrypt_index(self, index: int) -> list[CiphertextHandle]:
         """Encrypt each index bit in its own ciphertext (constant slot)."""
         if not 0 <= index < len(self.table):
             raise ParameterError(f"index {index} outside the table")
-        return [
-            unwrap(self.session.encrypt([(index >> j) & 1]), self._legacy)
-            for j in range(self.index_bits)
-        ]
+        return [self.session.encrypt([(index >> j) & 1])
+                for j in range(self.index_bits)]
 
     # -- server side ----------------------------------------------------------------
 
@@ -89,13 +75,12 @@ class EncryptedLookupTable:
             layer = next_layer
         return layer[0]
 
-    def reply_expr(self, index_bits: list) -> CiphertextHandle:
+    def lookup(self, bits: list[CiphertextHandle]) -> CiphertextHandle:
         """The PIR reply as a lazy expression: sum_e sel(e) * T[e]."""
-        if len(index_bits) != self.index_bits:
+        if len(bits) != self.index_bits:
             raise ParameterError(
                 f"expected {self.index_bits} encrypted index bits"
             )
-        bits = [as_handle(self.session, b) for b in index_bits]
         # Build each negated bit once so every table entry shares the
         # same subexpression node (the graph dedups by identity).
         negated = [1 - b for b in bits]
@@ -109,14 +94,10 @@ class EncryptedLookupTable:
             reply = weighted if reply is None else reply + weighted
         return reply
 
-    def lookup(self, index_bits: list):
-        """PIR reply (handle; a raw ciphertext for legacy callers)."""
-        return unwrap(self.reply_expr(index_bits), self._legacy)
-
-    def lookup_program(self, index_bits: list, *,
+    def lookup_program(self, index_bits: list[CiphertextHandle], *,
                        check: bool = True) -> HEProgram:
         """Compile one lookup into a backend-agnostic program."""
-        return self.session.compile(self.reply_expr(index_bits),
+        return self.session.compile(self.lookup(index_bits),
                                     name="encrypted-lookup", check=check)
 
     # -- client side again -------------------------------------------------------------

@@ -176,20 +176,14 @@ class GaloisEngine:
         hoisted rotation group.
         """
         from ..nttmath import batch
-        from ..rns.decompose import broadcast_digit_rows
 
-        context = self.context
-        if batch._PER_ROW_MODE:
-            return context._ntt_rows(
-                broadcast_digit_rows(c1_rows, context.q_basis)
-            )
         # Fused WordDecomp + NTT on the raw coefficient rows: all
         # digits share one stage-0 dgemm (apply_broadcast_many), and
         # the outputs stay lazy in [0, 2q) — the halved accumulation
         # window in :meth:`_fold_digit_pairs` absorbs the slack, so
         # the final conditional-subtract pass is skipped entirely.
-        return batch.ntt_broadcast_rows(context.params.q_primes, c1_rows,
-                                        lazy=True)
+        return batch.ntt_broadcast_rows(self.context.params.q_primes,
+                                        c1_rows, lazy=True)
 
     def _key_switch_accumulators(self, tau_c1: np.ndarray,
                                  key: GaloisKey) -> tuple[np.ndarray,
@@ -208,18 +202,10 @@ class GaloisEngine:
                           key: GaloisKey) -> tuple[np.ndarray,
                                                    np.ndarray]:
         """Fold NTT-domain digits against one key's (b, a) pairs."""
-        from ..nttmath import batch
-
-        context = self.context
-        primes_col = context.q_basis.primes_col
+        primes_col = self.context.q_basis.primes_col
         acc0 = np.zeros_like(d_ntt[0])
         acc1 = np.zeros_like(d_ntt[0])
-        if batch._PER_ROW_MODE:
-            # Pre-batching accumulation: reduce after every product.
-            for i, (b_ntt, a_ntt) in enumerate(key.pairs):
-                acc0 = (acc0 + d_ntt[i] * b_ntt) % primes_col
-                acc1 = (acc1 + d_ntt[i] * a_ntt) % primes_col
-            return acc0, acc1
+
         def fold(c0: int, c1: int) -> None:
             # One channel band, same digit order and reduction window
             # as the serial loop — banding cannot change the result.

@@ -69,12 +69,12 @@ class IntPoly:
 
     # -- ring arithmetic -----------------------------------------------------
 
-    def _assert_compatible(self, other: IntPoly) -> None:
+    def _assert_matching(self, other: IntPoly) -> None:
         if self.n != other.n or self.modulus != other.modulus:
             raise ParameterError("polynomials live in different rings")
 
     def __add__(self, other: IntPoly) -> IntPoly:
-        self._assert_compatible(other)
+        self._assert_matching(other)
         return IntPoly(
             tuple((a + b) % self.modulus
                   for a, b in zip(self.coeffs, other.coeffs, strict=True)),
@@ -82,7 +82,7 @@ class IntPoly:
         )
 
     def __sub__(self, other: IntPoly) -> IntPoly:
-        self._assert_compatible(other)
+        self._assert_matching(other)
         return IntPoly(
             tuple((a - b) % self.modulus
                   for a, b in zip(self.coeffs, other.coeffs, strict=True)),
@@ -94,7 +94,7 @@ class IntPoly:
                        self.modulus)
 
     def __mul__(self, other: IntPoly) -> IntPoly:
-        self._assert_compatible(other)
+        self._assert_matching(other)
         product = negacyclic_convolution(
             list(self.coeffs), list(other.coeffs), self.modulus
         )

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ParameterError
-from ..nttmath import batch
 from ..nttmath.batch import intt_rows, ntt_rows
 from ..rns.basis import RnsBasis
 from .ring import RingContext, ring_context
@@ -62,13 +61,8 @@ class RnsPoly:
         already produced canonical residues — it skips the defensive
         reduction (and its allocation) of the public constructor. The
         caller must guarantee shape, dtype, entries in [0, q_i), and
-        exclusive ownership of ``residues``. Inside
-        :func:`~repro.nttmath.batch.per_row_mode` it falls back to the
-        validating constructor, which is what every pre-batching call
-        site paid.
+        exclusive ownership of ``residues``.
         """
-        if batch._PER_ROW_MODE:
-            return cls(basis, residues, ntt_domain)
         poly = object.__new__(cls)
         poly.basis = basis
         poly.residues = residues
@@ -134,7 +128,7 @@ class RnsPoly:
 
     # -- arithmetic --------------------------------------------------------------
 
-    def _assert_compatible(self, other: RnsPoly) -> None:
+    def _assert_matching(self, other: RnsPoly) -> None:
         if self.basis is not other.basis and (
             self.basis.primes != other.basis.primes
         ):
@@ -149,7 +143,7 @@ class RnsPoly:
             raise ParameterError(f"{op} requires the coefficient domain")
 
     def __add__(self, other: RnsPoly) -> RnsPoly:
-        self._assert_compatible(other)
+        self._assert_matching(other)
         return RnsPoly.trusted(
             self.basis,
             (self.residues + other.residues) % self.basis.primes_col,
@@ -157,7 +151,7 @@ class RnsPoly:
         )
 
     def __sub__(self, other: RnsPoly) -> RnsPoly:
-        self._assert_compatible(other)
+        self._assert_matching(other)
         return RnsPoly.trusted(
             self.basis,
             (self.residues - other.residues) % self.basis.primes_col,
@@ -173,7 +167,7 @@ class RnsPoly:
 
     def pointwise_mul(self, other: RnsPoly) -> RnsPoly:
         """Coefficient-wise product (requires both operands in NTT domain)."""
-        self._assert_compatible(other)
+        self._assert_matching(other)
         if not self.ntt_domain:
             raise ParameterError("pointwise_mul requires the NTT domain")
         return RnsPoly.trusted(
@@ -184,7 +178,7 @@ class RnsPoly:
 
     def multiply(self, other: RnsPoly) -> RnsPoly:
         """Negacyclic product via batched NTT (both in coefficient domain)."""
-        self._assert_compatible(other)
+        self._assert_matching(other)
         self._require_coeff_domain("multiply")
         primes = self.basis.primes
         fa, fb = ntt_rows(primes, np.stack([self.residues, other.residues]))

@@ -27,23 +27,11 @@ def broadcast_digit_rows(residues: np.ndarray,
     """Raw-residue digit tensor: row i of ``residues`` broadcast to every
     basis channel, reduced per channel.
 
-    This is the paper's cheap WordDecomp — pure data movement plus a
-    per-channel reduction. For the standard 30-bit bases the values are
-    below twice every prime, so one unsigned-minimum conditional
-    subtract replaces the integer division.
+    This is the paper's cheap WordDecomp — pure data movement plus one
+    per-channel reduction.
     """
-    from ..nttmath import batch
-
     k, n = residues.shape
     tiled = np.broadcast_to(residues[:, None, :], (k, basis.size, n))
-    if min(basis.primes) >= 1 << 29 and not batch._PER_ROW_MODE:
-        digits = np.ascontiguousarray(tiled)
-        reduced = digits - basis.primes_col
-        np.minimum(digits.view(np.uint64), reduced.view(np.uint64),
-                   out=digits.view(np.uint64))
-        return digits
-    # Pre-batching form (and the safe fallback for narrow primes):
-    # one integer-division reduction per channel.
     return tiled % basis.primes_col
 
 

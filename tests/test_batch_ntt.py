@@ -7,7 +7,6 @@ The invariants this PR rides on:
   paper-literal ``ntt_iterative`` across ring sizes and basis shapes;
 * the fused digit transform and the per-channel-scaled inverse equal
   their compose-by-hand definitions;
-* ``per_row_mode`` changes performance, never results;
 * the NTT-resident ``LocalBackend`` produces the same ciphertexts as
   the eager executor while performing strictly fewer transforms on
   rotation-heavy programs.
@@ -32,7 +31,6 @@ from repro.nttmath.batch import (
     intt_rows_scaled,
     ntt_broadcast_rows,
     ntt_rows,
-    per_row_mode,
     reset_engine_fallbacks,
     transform_counts,
 )
@@ -57,6 +55,19 @@ def _basis(n, k):
     return tuple(find_ntt_primes(30, n, k))
 
 
+def _iterative_forward(primes, mat):
+    """Independent oracle: per row, the psi twist followed by the
+    paper-literal pure-Python ``ntt_iterative``."""
+    n = mat.shape[-1]
+    rows = []
+    for p, row in zip(primes, mat, strict=True):
+        tr = NegacyclicTransformer(n, p)
+        twisted = [int(c) * int(psi) % p
+                   for c, psi in zip(row, tr.psi_powers, strict=True)]
+        rows.append(ntt_iterative(twisted, p, tr.omega))
+    return np.array(rows, dtype=np.int64)
+
+
 class TestBatchedTransformEquivalence:
     @pytest.mark.parametrize("n,k", SHAPES)
     def test_forward_matches_per_row_and_iterative(self, n, k):
@@ -66,15 +77,9 @@ class TestBatchedTransformEquivalence:
         mat = rng.integers(0, bt.primes_col, size=(k, n))
         got = bt.forward(mat)
         for row, p in enumerate(primes):
-            tr = NegacyclicTransformer(n, p)
-            per_row = tr.forward(mat[row])
+            per_row = NegacyclicTransformer(n, p).forward(mat[row])
             assert np.array_equal(got[row], per_row)
-            twisted = [
-                int(c) * int(psi) % p
-                for c, psi in zip(mat[row], tr.psi_powers, strict=True)
-            ]
-            reference = ntt_iterative(twisted, p, tr.omega)
-            assert got[row].tolist() == reference
+        assert np.array_equal(got, _iterative_forward(primes, mat))
 
     @pytest.mark.parametrize("n,k", SHAPES)
     def test_inverse_matches_per_row_and_roundtrips(self, n, k):
@@ -115,9 +120,8 @@ class TestBatchedTransformEquivalence:
         rng = np.random.default_rng(seed)
         mat = np.roll(rng.integers(0, bt.primes_col, size=(k, n)), shift,
                       axis=1) % bt.primes_col
-        with per_row_mode():
-            reference = ntt_rows(primes, mat)
-        assert np.array_equal(bt.forward(mat), reference)
+        assert np.array_equal(bt.forward(mat),
+                              _iterative_forward(primes, mat))
 
     def test_lazy_forward_is_congruent(self):
         params = mini()
@@ -156,19 +160,6 @@ class TestBatchedTransformEquivalence:
         expected = (intt_rows(primes, mat) * consts_col) % bt.primes_col
         assert np.array_equal(got, expected)
 
-    def test_per_row_mode_changes_nothing_but_speed(self):
-        params = toy()
-        session = Session(params, seed=3, encoder="coeff")
-        a = session.encrypt([1, 2, 3])
-        b = session.encrypt([4, 5, 6])
-        batched = session.decrypt(a * b + a, size=4)
-        with per_row_mode():
-            session_slow = Session(params, seed=3, encoder="coeff")
-            a2 = session_slow.encrypt([1, 2, 3])
-            b2 = session_slow.encrypt([4, 5, 6])
-            per_row = session_slow.decrypt(a2 * b2 + a2, size=4)
-        assert np.array_equal(batched, per_row)
-
 
 class TestLargeRingEngine:
     """The generalised engine covers every supported n up to 32768.
@@ -196,13 +187,8 @@ class TestLargeRingEngine:
             tr = NegacyclicTransformer(n, p)
             assert np.array_equal(got[row], tr.forward(mat[row]))
         # Paper Algorithm 1, pure-Python, on one row: the ground truth.
-        p = primes[0]
-        tr = NegacyclicTransformer(n, p)
-        twisted = [
-            int(c) * int(psi) % p
-            for c, psi in zip(mat[0], tr.psi_powers, strict=True)
-        ]
-        assert got[0].tolist() == ntt_iterative(twisted, p, tr.omega)
+        assert np.array_equal(got[:1],
+                              _iterative_forward(primes[:1], mat[:1]))
 
     @pytest.mark.parametrize("n", [8192, 32768])
     def test_large_n_broadcast_and_scaled_inverse(self, n):
@@ -291,14 +277,6 @@ class TestFallbackDiagnostics:
         assert any("per-row" in record.message
                    for record in caplog.records)
         reset_engine_fallbacks()
-
-    def test_per_row_mode_is_not_a_fallback(self):
-        reset_engine_fallbacks()
-        primes = _basis(64, 2)
-        mat = np.ones((2, 64), dtype=np.int64)
-        with per_row_mode():
-            ntt_rows(primes, mat)
-        assert engine_fallbacks() == ()
 
 
 class TestRnsPolyAliasing:

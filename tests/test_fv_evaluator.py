@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-
+from repro.api import Session
 from repro.errors import ParameterError
 from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
+from repro.fv.galois import rotation_element
 from repro.fv.noise import (
     estimated_depth,
     noise_budget_bits,
@@ -14,7 +15,10 @@ from repro.fv.noise import (
     per_mult_cost_bits,
 )
 from repro.fv.reference import TextbookFv
+from repro.nttmath.batch import ntt_broadcast_rows, ntt_rows
 from repro.nttmath.ntt import negacyclic_convolution
+from repro.nttmath.primes import find_ntt_primes
+from repro.params import ParameterSet
 
 
 def plain_product(a: Plaintext, b: Plaintext, t: int) -> list[int]:
@@ -178,6 +182,84 @@ class TestMultiply:
         )
         assert textbook.decrypt(tb_raw, s_poly).coeffs.tolist() == \
             toy_context.decrypt(rns_result, toy_keys.secret).coeffs.tolist()
+
+
+def plain_automorphism(coeffs: np.ndarray, g: int, t: int) -> np.ndarray:
+    """m(x) -> m(x^g) mod (x^n + 1, t): coefficient i lands on g*i mod
+    2n, negated when it wraps past x^n."""
+    n = len(coeffs)
+    dest = (g * np.arange(n)) % (2 * n)
+    out = np.empty(n, dtype=np.int64)
+    out[dest % n] = np.where(dest < n, coeffs, -coeffs)
+    return out % t
+
+
+class TestNarrowPrimeBasis:
+    """28-bit primes: a basis the fast paths cannot serve.
+
+    Their HPS reciprocals are not 60-bit safe (``gemm_safe=False``), so
+    Lift and Scale take the per-target-prime loop and Mult the
+    coefficient tensor route. A 30-bit WordDecomp digit can exceed twice
+    a 28-bit prime, so the fused digit NTT that relinearisation and
+    rotation run must still reduce it fully.
+    """
+
+    @pytest.fixture(scope="class")
+    def session(self):
+        primes = tuple(find_ntt_primes(28, 256, 9))
+        params = ParameterSet("narrow-28", 256, primes[:4], primes[4:],
+                              t=257)
+        return Session(params, seed=5)
+
+    @pytest.fixture(scope="class")
+    def operands(self, session):
+        rng = np.random.default_rng(8)
+        params = session.params
+        return tuple(Plaintext(rng.integers(0, params.t, params.n),
+                               params.t) for _ in range(2))
+
+    def test_basis_takes_the_fallback_routes(self, session):
+        assert not session.context.lift_ctx.gemm_safe
+        assert not session.context.scale_ctx.final_lift.gemm_safe
+        assert not session.evaluator.resident_tensor_ok
+
+    def test_mult_rotate_add_matches_numpy(self, session, operands):
+        a, b = operands
+        t, n = session.params.t, session.params.n
+        ha, hb = session.encrypt(a), session.encrypt(b)
+        got = session.decrypt((ha * hb).rotate(1) + ha)
+        product = np.array(plain_product(a, b, t), dtype=np.int64)
+        expected = (plain_automorphism(product, rotation_element(1, n), t)
+                    + a.coeffs) % t
+        assert np.array_equal(got, expected)
+
+    def test_mult_matches_textbook(self, session, operands):
+        a, b = operands
+        context, keys = session.context, session.keys
+        ct_a = context.encrypt(a, keys.public)
+        ct_b = context.encrypt(b, keys.public)
+        raw = session.evaluator.multiply_raw(ct_a, ct_b)
+        textbook = TextbookFv(context.params)
+        tb_raw = textbook.multiply_raw(textbook.ciphertext_from_rns(ct_a),
+                                       textbook.ciphertext_from_rns(ct_b))
+        s_poly = textbook.poly_from_rns(keys.secret.rns)
+        expected = plain_product(a, b, context.params.t)
+        assert textbook.decrypt(tb_raw, s_poly).coeffs.tolist() == expected
+        assert context.decrypt(raw, keys.secret).coeffs.tolist() == expected
+        relined = session.evaluator.relinearize(raw, keys.relin)
+        assert context.decrypt(relined, keys.secret).coeffs.tolist() \
+            == expected
+
+    def test_word_decomp_reduces_narrow_primes(self, session):
+        basis = session.context.q_basis
+        rng = np.random.default_rng(9)
+        rows = rng.integers(0, 1 << 30, size=(basis.size,
+                                              session.params.n))
+        digits = session.evaluator.rns_digits(rows)
+        assert np.array_equal(digits,
+                              rows[:, None, :] % basis.primes_col[None])
+        assert np.array_equal(ntt_rows(basis.primes, digits),
+                              ntt_broadcast_rows(basis.primes, rows))
 
 
 class TestDigitRelin:

@@ -5,13 +5,17 @@ Three layers of guarantees:
 * **pass units** — each rewrite does exactly what it claims on a
   small hand-built graph (canonical rotation steps, CSE merges,
   ladder folding, lazy relinearisation, hoist groups);
-* **golden model** — randomly generated DAGs decrypt identically
-  optimised and unoptimised on the functional backend, and the stack
-  is idempotent (a second run is a fixed point);
+* **golden model** — randomly generated DAGs decrypt to a numpy
+  mod-t evaluation of the same DAG under every execution
+  configuration (serial/threads, resident/coefficient,
+  optimised/unoptimised), serial and threaded runs are bit-identical,
+  and the stack is idempotent (a second run is a fixed point);
 * **pricing** — the acceptance bar: on the sum-heavy and matmul
   programs the optimiser removes >= 30% of lowered keyswitch ops and
   the simulated serving makespan improves.
 """
+
+import itertools
 
 import numpy as np
 import pytest
@@ -19,7 +23,10 @@ import pytest
 from repro.api import LocalBackend, Session, SimulatedBackend
 from repro.api.program import OpKind, sum_slots_rounds
 from repro.apps.matmul import EncryptedMatmul
+from repro.fv.galois import rotation_element, slot_permutation
+from repro.nttmath import batch as batch_mod
 from repro.optim import optimize_program, program_fingerprint
+from repro.parallel import use_executor
 from repro.params import mini
 from repro.serve import CriticalPathScheduler, default_schedulers
 
@@ -144,15 +151,27 @@ class TestPasses:
         assert "keyswitches" in text
 
 
-def random_expr(rng, leaves, depth):
-    """A random DAG over the encrypted leaves (shares subtrees).
+def random_expr(rng, leaves, values, depth):
+    """A random DAG over the encrypted leaves (shares subtrees), and
+    its plaintext slot vector from an independent numpy mod-t model.
 
-    Multiplicative depth and ladder count are capped so every program
-    stays inside mini's worst-case noise budget — the compile below
-    runs ``check=True``, making "both sides decrypt correctly" part of
-    the contract rather than "both sides are identically wrong".
+    ``values`` are the leaves' slot vectors. Rotations move slots
+    through the Galois slot permutation, ``sum_slots`` puts the total
+    of all slots in every slot. Multiplicative depth and ladder count
+    are capped so every program stays inside mini's worst-case noise
+    budget — the compile below runs ``check=True``, making "every
+    configuration decrypts correctly" part of the contract rather than
+    "all configurations are identically wrong".
     """
+    n, t = leaves[0].session.params.n, leaves[0].session.params.t
+    plain = {id(leaf): np.asarray(v, dtype=np.int64) % t
+             for leaf, v in zip(leaves, values, strict=True)}
     pool = list(leaves)
+
+    def push(handle, vector):
+        plain[id(handle)] = vector % t
+        pool.append(handle)
+
     sums = 0
     for _ in range(depth):
         op = rng.choice(["add", "sub", "mul", "rotate", "sum", "reuse"])
@@ -165,45 +184,73 @@ def random_expr(rng, leaves, depth):
                 op = "rotate"
             else:
                 sums += 1
+        va, vb = plain[id(a)], plain[id(b)]
         if op == "add":
-            pool.append(a + b)
+            push(a + b, va + vb)
         elif op == "sub":
-            pool.append(a - b)
+            push(a - b, va - vb)
         elif op == "mul":
-            pool.append(a * b)
+            push(a * b, va * vb)
         elif op == "rotate":
-            pool.append(a.rotate(int(rng.integers(1, 9))))
+            steps = int(rng.integers(1, 9))
+            perm = slot_permutation(n, rotation_element(steps, n))
+            push(a.rotate(steps), va[perm])
         elif op == "sum":
-            pool.append(a.sum_slots())
+            push(a.sum_slots(), np.full(n, va.sum()))
         else:
-            pool.append(a + a)
-    return pool[-1]
+            push(a + a, va + va)
+    return pool[-1], plain[id(pool[-1])]
+
+
+@pytest.fixture(scope="module")
+def golden_session():
+    return Session(mini(t=65537), seed=7)
 
 
 class TestGoldenModel:
     @pytest.mark.parametrize("seed", range(6))
-    def test_optimized_program_decrypts_identically(self, seed):
+    def test_optimized_program_decrypts_identically(self, seed,
+                                                     golden_session,
+                                                     monkeypatch):
+        """Every execution configuration decrypts to the numpy model;
+        for one domain and optimise setting, serial and threads agree
+        to the bit."""
+        # Every transform tiles over the thread pool, whatever its size.
+        monkeypatch.setattr(batch_mod, "PARALLEL_MIN_WORK", 1)
+        session = golden_session
+        n = session.params.n
         rng = np.random.default_rng(seed)
-        values = [[int(v) for v in rng.integers(0, 50, size=4)]
+        values = [np.pad(rng.integers(0, 50, size=4), (0, n - 4))
                   for _ in range(3)]
-
-        def build(session):
-            leaves = [session.encrypt(v) for v in values]
-            expr = random_expr(np.random.default_rng(seed + 100),
-                               leaves, depth=6)
-            return session.compile(expr)
-
-        # Fresh sessions/graphs per run: shared nodes carry ciphertext
-        # caches, which would make the comparison vacuous.
-        plain_session = Session(mini(t=65537), seed=7)
-        plain = LocalBackend(plain_session).run(build(plain_session))
-        opt_session = Session(mini(t=65537), seed=7)
-        optimized, _ = optimize_program(build(opt_session))
-        opt = LocalBackend(opt_session).run(optimized)
-        assert np.array_equal(
-            np.asarray(plain_session.decrypt(plain.handle("out"))),
-            np.asarray(opt_session.decrypt(opt.handle("out"))),
-        )
+        inputs = [session.encrypt(v).ciphertext for v in values]
+        results = {}
+        for executor, resident, optimise in itertools.product(
+                (("serial",), ("threads", 2)), (True, False),
+                (False, True)):
+            # Fresh graph per run (same input ciphertexts): shared nodes
+            # carry ciphertext caches, which would make the comparison
+            # vacuous.
+            leaves = [session.wrap(ct) for ct in inputs]
+            expr, expected = random_expr(np.random.default_rng(seed + 100),
+                                         leaves, values, depth=6)
+            program = session.compile(expr)
+            if optimise:
+                program, _ = optimize_program(program)
+            with use_executor(*executor):
+                result = LocalBackend(session,
+                                      ntt_resident=resident).run(program)
+            config = (executor[0], resident, optimise)
+            assert np.array_equal(
+                np.asarray(session.decrypt(result.handle("out"))),
+                expected), config
+            results[config] = result.ciphertext("out")
+        for resident, optimise in itertools.product((True, False),
+                                                    (False, True)):
+            serial = results[("serial", resident, optimise)]
+            threads = results[("threads", resident, optimise)]
+            assert serial.ntt_resident == threads.ntt_resident
+            for want, got in zip(serial.parts, threads.parts, strict=True):
+                assert np.array_equal(want.residues, got.residues)
 
     def test_optimize_is_idempotent(self, session):
         a = session.encrypt([1, 2, 3, 4])
