@@ -1,8 +1,8 @@
 """FV hot-path throughput: absolute wall time of the batched engine.
 
-Measures Mult, Rotate, keygen and encrypt latency, and end-to-end
-``HEProgram`` latency at the paper's production parameters (n = 4096,
-full six-prime q basis) on the production path: the gemm-based
+Measures Mult, Rotate, keygen, encrypt and decrypt latency, and
+end-to-end ``HEProgram`` latency at the paper's production parameters
+(n = 4096, full six-prime q basis) on the production path: the gemm-based
 limb-parallel :class:`~repro.nttmath.batch.BasisTransformer`,
 vectorised lift/scale conversions, fused WordDecomp+NTT digits, and
 the NTT-resident ``LocalBackend`` executor.
@@ -234,6 +234,13 @@ def test_fv_throughput():
         lambda: context.encrypt(m1, keys.public), REPS
     ) * 1e3
 
+    # Decryption of a coefficient-domain ciphertext (HPS rounding plus
+    # the mixed-radix noise pass), checked against the plaintext first.
+    assert context.decrypt(ct1, keys.secret) == m1
+    decrypt_ms = min_time(
+        lambda: context.decrypt(ct1, keys.secret), REPS
+    ) * 1e3
+
     # Homomorphic multiplication (tensor + scale + relinearise).
     check_mult_decrypts(context, keys,
                         evaluator.multiply(ct1, ct2, keys.relin), m1, m2)
@@ -306,6 +313,7 @@ def test_fv_throughput():
         },
         "keygen": {"ms": round(keygen_ms, 2)},
         "encrypt": {"ms": round(encrypt_ms, 3)},
+        "decrypt": {"ms": round(decrypt_ms, 3)},
         "program": {
             "resident_ms": round(program_resident_ms, 2),
             "eager_ms": round(program_eager_ms, 2),
@@ -337,6 +345,7 @@ def test_fv_throughput():
         f"{1e3 / rotate_ms:>10.1f}{ROTATE_CEILING_MS:>8.1f}ms",
         f"{'Keygen':<22}{keygen_ms:>10.1f}",
         f"{'Encrypt':<22}{encrypt_ms:>10.2f}",
+        f"{'Decrypt':<22}{decrypt_ms:>10.2f}",
         f"{'HEProgram':<22}{program_resident_ms:>10.1f}"
         f"{program_eager_ms:>10.1f}   (resident vs eager executor)",
         f"row transforms per program run: resident {resident_rows}, "

@@ -279,11 +279,14 @@ class LocalBackend:
                 # Noise measurement can itself transform (resident
                 # outputs decrypt through a conversion); tracing it as
                 # a phase keeps the trace totals equal to the run-level
-                # registry diff even with verification on.
+                # registry diff even with verification on. The measured
+                # budgets stay on the span (``noise_budget_bits``).
                 with tracer.span("verify_outputs", kind="phase") as sp:
                     ver_before = transform_counts()
+                    budgets = sp.attrs["noise_budget_bits"] = {}
                     for label, handle in outputs.items():
                         budget = self.session.noise_budget_bits(handle)
+                        budgets[label] = budget
                         if budget <= 0:
                             raise NoiseBudgetExhausted(
                                 f"output {label!r} decrypts with no "

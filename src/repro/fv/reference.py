@@ -107,6 +107,11 @@ class TextbookFv:
         return c0, c1
 
     def decrypt(self, parts: tuple[IntPoly, ...], s: IntPoly) -> Plaintext:
+        return self.decrypt_with_noise(parts, s)[0]
+
+    def decrypt_with_noise(self, parts: tuple[IntPoly, ...],
+                           s: IntPoly) -> tuple[Plaintext, int]:
+        """Decrypt and report the noise ``max |[w - Delta*m]_q|`` exactly."""
         params = self.params
         q, t = params.q, params.t
         acc = parts[0]
@@ -114,10 +119,13 @@ class TextbookFv:
         for part in parts[1:]:
             acc = acc + part * s_power
             s_power = s_power * s
-        m = [
-            round_half_away(t * w, q) % t for w in acc.centered()
-        ]
-        return Plaintext(np.array(m, dtype=np.int64), t)
+        w = acc.centered()
+        m = [round_half_away(t * x, q) % t for x in w]
+        noise = 0
+        for x, mi in zip(w, m, strict=True):
+            diff = (x - params.delta * mi) % q
+            noise = max(noise, min(diff, q - diff))
+        return Plaintext(np.array(m, dtype=np.int64), t), noise
 
     # -- homomorphic operations --------------------------------------------------------
 

@@ -14,7 +14,7 @@ from ..nttmath.batch import count_roundtrip, intt_rows, ntt_rows
 from ..params import ParameterSet
 from ..poly.rns_poly import RnsPoly
 from ..rns.basis import basis_for, lift_context, scale_context
-from ..utils import round_half_away
+from ..rns.decrypt import hps_decrypt_round
 from .ciphertext import Ciphertext
 from .encoder import Plaintext
 from .keys import KeySet, PublicKey, RelinKey, SecretKey
@@ -308,45 +308,41 @@ class FvContext:
         """Decrypt and also report the infinity norm of the noise term.
 
         The noise norm drives :func:`repro.fv.noise.noise_budget_bits` and
-        the depth experiments.
+        the depth experiments. Both results are exact and every step is
+        word-sized: the plaintext comes from the HPS rounding of
+        :func:`~repro.rns.decrypt.hps_decrypt_round`, the noise
+        ``|w - Delta*m|`` from one mixed-radix pass
+        (:meth:`~repro.rns.basis.RnsBasis.centered_abs_max`).
         """
         params = self.params
         primes_col = self.q_basis.primes_col
-        # w = c0 + c1*s (+ c2*s^2 for three-part ciphertexts), computed in
-        # the NTT domain per residue. NTT-resident parts skip their
-        # forward transform entirely — decrypting a resident result is
-        # cheaper than decrypting a coefficient-domain one — and the
-        # remaining coefficient-domain parts share one stacked batched
-        # call (the same gemm flow encryption uses).
-        pending = [i for i, part in enumerate(ct.parts)
-                   if not part.ntt_domain]
-        parts_ntt: dict[int, np.ndarray] = {
-            i: ct.parts[i].residues for i in range(ct.size)
-            if ct.parts[i].ntt_domain
-        }
+        # w = c0 + INTT(NTT(c1)*s [+ NTT(c2)*s^2]). Only the parts
+        # multiplied by s need the evaluation domain: NTT-resident ones
+        # are used as they are, the coefficient-domain ones share one
+        # stacked forward transform, and c0 joins on whichever side of
+        # the inverse transform it already lives (exact by linearity).
+        pending = [i for i in range(1, ct.size)
+                   if not ct.parts[i].ntt_domain]
+        parts_ntt = {i: ct.parts[i].residues for i in range(1, ct.size)}
         if pending:
             transformed = self._ntt_rows(np.stack(
                 [ct.parts[i].residues for i in pending]
             ))
             parts_ntt.update(zip(pending, transformed, strict=True))
-        acc = parts_ntt[0]
+        c0 = ct.parts[0]
+        acc = c0.residues if c0.ntt_domain else 0
         s_power = secret.ntt_rows
         for index in range(1, ct.size):
             acc = (acc + parts_ntt[index] * s_power) % primes_col
             s_power = (s_power * secret.ntt_rows) % primes_col
         w_rows = self._intt_rows(acc)
-        w_coeffs = self.q_basis.reconstruct_coeffs_centered(w_rows)
-        q, t = params.q, params.t
-        m_coeffs = [round_half_away(t * w, q) % t for w in w_coeffs]
-        plain = Plaintext(np.array(m_coeffs, dtype=np.int64), t)
-        delta = params.delta
-        noise = 0
-        for w, m in zip(w_coeffs, m_coeffs, strict=True):
-            diff = (w - delta * m) % q
-            if diff > q // 2:
-                diff = q - diff
-            noise = max(noise, diff)
-        return plain, noise
+        if not c0.ntt_domain:
+            w_rows = (w_rows + c0.residues) % primes_col
+        m, _ = hps_decrypt_round(self.q_basis, params.t, w_rows)
+        noise = self.q_basis.centered_abs_max(
+            (w_rows - self.delta_rows * m) % primes_col
+        )
+        return Plaintext(m, params.t), noise
 
     # -- additive homomorphic operations -----------------------------------------------
 

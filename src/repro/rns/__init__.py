@@ -12,6 +12,8 @@ the FV scheme and the hardware model:
   (Fig. 9) variants.
 * :mod:`~repro.rns.decompose` — WordDecomp: signed base-w digits and the
   RNS decomposition used for relinearisation.
+* :mod:`~repro.rns.decrypt` — the decryption rounding round(t*w/q) mod t
+  with the same HPS fixed-point method, exact via a per-column fallback.
 """
 
 from .basis import LiftContext, RnsBasis, ScaleContext
@@ -20,6 +22,7 @@ from .decompose import (
     rns_decompose,
     signed_digit_decompose,
 )
+from .decrypt import hps_decrypt_round
 from .lift import lift_hps, lift_traditional
 from .scale import scale_hps, scale_traditional
 
@@ -27,6 +30,7 @@ __all__ = [
     "RnsBasis",
     "LiftContext",
     "ScaleContext",
+    "hps_decrypt_round",
     "lift_hps",
     "lift_traditional",
     "scale_hps",

@@ -63,6 +63,7 @@ class RnsBasis:
             raise ParameterError("reciprocal table overflows the datapath")
         self.recip_hi_col = (recips >> 30)[:, None]
         self.recip_lo_col = (recips & _MASK30)[:, None]
+        self._mixed_radix = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RnsBasis(size={self.size}, bits={self.modulus.bit_length()})"
@@ -116,6 +117,93 @@ class RnsBasis:
             for v in self.reconstruct_coeffs(residue_matrix)
         ]
 
+    # -- mixed radix (Garner) ------------------------------------------------------
+
+    def mixed_radix_tables(self) -> tuple[np.ndarray, np.ndarray, tuple]:
+        """Garner tables, built lazily and cached on the basis.
+
+        ``inverse[i, j] = q_i^-1 mod q_j`` (zero for ``j <= i``),
+        ``half_digits`` is the column of mixed-radix digits of
+        ``(modulus - 1) / 2`` and ``weights[i] = q_0 * ... * q_{i-1}``
+        (Python ints), so that ``x = sum_i digit_i * weights[i]``.
+        """
+        if self._mixed_radix is None:
+            k = self.size
+            inverse = np.zeros((k, k), dtype=np.int64)
+            for i, qi in enumerate(self.primes):
+                for j in range(i + 1, k):
+                    inverse[i, j] = modinv(qi % self.primes[j],
+                                           self.primes[j])
+            weights = [1]
+            for p in self.primes[:-1]:
+                weights.append(weights[-1] * p)
+            half = (self.modulus - 1) // 2
+            half_digits = []
+            for p in self.primes:
+                half, digit = divmod(half, p)
+                half_digits.append(digit)
+            self._mixed_radix = (
+                inverse,
+                np.array(half_digits, dtype=np.int64)[:, None],
+                tuple(weights),
+            )
+        return self._mixed_radix
+
+    def mixed_radix_digits(self, residue_matrix: np.ndarray) -> np.ndarray:
+        """Column-wise mixed-radix digits of a (size x n) residue matrix.
+
+        Row i holds digit ``d_i`` in ``[0, q_i)`` of
+        ``x = d_0 + d_1 q_0 + d_2 q_0 q_1 + ...`` (x in [0, modulus)).
+        One vectorised Garner step per prime: every product is below
+        ``2^30 * 2^30``, so the whole pass stays in int64.
+        """
+        digits = np.array(residue_matrix, dtype=np.int64)
+        quotient = np.empty_like(digits)
+        inverse, _, _ = self.mixed_radix_tables()
+        for i in range(self.size - 1):
+            rest = digits[i + 1:]
+            primes = self.primes_col[i + 1:]
+            rest -= digits[i]
+            rest *= inverse[i, i + 1:, None]
+            # rest %= primes, written out: numpy's floor division by a
+            # per-row divisor is several times faster than % here.
+            q = np.floor_divide(rest, primes, out=quotient[i + 1:])
+            q *= primes
+            rest -= q
+        return digits
+
+    def centered_abs_max(self, residue_matrix: np.ndarray) -> int:
+        """Exact ``max |x|`` over the centered values of the columns.
+
+        Comparing each column's mixed-radix digits (most significant
+        first) with those of ``(modulus - 1) / 2`` splits the columns
+        into those whose centered value is ``x`` and those where it is
+        ``x - modulus``. The largest magnitude is the lexicographic
+        maximum of the first group or ``modulus`` minus the
+        lexicographic minimum of the second, so only two columns are
+        ever evaluated as Python integers.
+        """
+        digits = self.mixed_radix_digits(residue_matrix)
+        _, half_digits, weights = self.mixed_radix_tables()
+        # sign(x - (modulus-1)/2) per column: a more significant digit
+        # that differs overrides every less significant one.
+        order = np.zeros(digits.shape[1], dtype=np.int64)
+        for diff in np.sign(digits - half_digits):
+            order = np.where(diff != 0, diff, order)
+        low = order <= 0
+
+        def value(column: np.ndarray) -> int:
+            return sum(int(d) * w
+                       for d, w in zip(column, weights, strict=True))
+
+        best = 0
+        if low.any():
+            best = value(_lex_extreme(digits[:, low], np.max))
+        if not low.all():
+            best = max(best, self.modulus
+                       - value(_lex_extreme(digits[:, ~low], np.min)))
+        return best
+
     # -- cross-basis tables ------------------------------------------------------
 
     def star_mod_table(self, target_primes) -> np.ndarray:
@@ -130,6 +218,18 @@ class RnsBasis:
         return np.array(
             [self.modulus % t for t in target_primes], dtype=np.int64
         )
+
+
+def _lex_extreme(digits: np.ndarray, pick) -> np.ndarray:
+    """The column of a mixed-radix digit matrix (most significant digit
+    last) with the largest (``pick=np.max``) or smallest (``np.min``)
+    value."""
+    for row in range(digits.shape[0] - 1, -1, -1):
+        values = digits[row]
+        digits = digits[:, values == pick(values)]
+        if digits.shape[1] == 1:
+            break
+    return digits[:, 0]
 
 
 @dataclass(frozen=True)

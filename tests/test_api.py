@@ -172,6 +172,26 @@ class TestHEProgram:
         static = session.compile(h).static_noise_bits()["out"]
         assert 0 < static < budgets[-1]
 
+    def test_verify_keeps_measured_budgets(self):
+        """Every level of the depth-4 chain as one program's outputs:
+        the verify phase records each measured budget on its span, and
+        the static walk is never more optimistic than the measurement."""
+        session = Session(mini(), seed=41)
+        levels = [session.encrypt([1, 1])]
+        while levels[-1].depth < 4:
+            levels.append(levels[-1] * levels[-1])
+        program = session.compile(
+            {f"depth{h.depth}": h for h in levels})
+        result = LocalBackend(session).run(program)
+        [verify] = [span for span in result.trace.spans("phase")
+                    if span.name == "verify_outputs"]
+        budgets = verify.attrs["noise_budget_bits"]
+        assert set(budgets) == set(program.outputs)
+        static = program.static_noise_bits()
+        for label, bits in budgets.items():
+            assert bits == result.noise_budget_bits(label)
+            assert static[label] <= bits
+
     def test_local_backend_matches_hand_wired_evaluator(self):
         """Satellite: LocalBackend and a hand-wired Evaluator produce
         identical ciphertexts (not just equal decryptions)."""

@@ -1,13 +1,18 @@
 """Tests for the FV scheme: samplers, encoders, keygen, encrypt/decrypt,
 additive operations, and the textbook cross-check (paper Sec. II-B)."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import EncodingError, ParameterError
+from repro.fv.ciphertext import Ciphertext
 from repro.fv.encoder import BatchEncoder, IntegerEncoder, Plaintext
+from repro.fv.evaluator import Evaluator
+from repro.fv.keys import SecretKey
 from repro.fv.reference import TextbookFv
 from repro.fv.sampler import (
     discrete_gaussian,
@@ -16,7 +21,11 @@ from repro.fv.sampler import (
     uniform_ternary,
 )
 from repro.fv.scheme import FvContext
-from repro.params import mini
+from repro.nttmath.batch import intt_rows, ntt_rows, transform_counts
+from repro.params import hpca19, mini, table5_large, toy
+from repro.poly.rns_poly import RnsPoly
+from repro.rns.decrypt import hps_decrypt_round
+from repro.utils import round_half_away
 
 
 class TestSamplers:
@@ -263,6 +272,27 @@ class TestTextbookCrossCheck:
         sigma = toy_context.params.sigma
         assert residue.infinity_norm() < 20 * sigma + 20
 
+    @pytest.mark.parametrize("raw", [False, True])
+    def test_noise_matches_textbook_after_mult(self, toy_context, toy_keys,
+                                               rng, raw):
+        """Plaintext and integer noise agree with the big-integer FV on a
+        real product: relinearised (two parts) or raw (three parts)."""
+        params = toy_context.params
+        textbook = TextbookFv(params)
+        evaluator = Evaluator(toy_context)
+        a, b = (toy_context.encrypt(
+            Plaintext(rng.integers(0, params.t, params.n), params.t),
+            toy_keys.public) for _ in range(2))
+        ct = (evaluator.multiply_raw(a, b) if raw
+              else evaluator.multiply(a, b, toy_keys.relin))
+        assert ct.size == (3 if raw else 2)
+        s_poly = textbook.poly_from_rns(toy_keys.secret.rns)
+        want = textbook.decrypt_with_noise(textbook.ciphertext_from_rns(ct),
+                                           s_poly)
+        plain, noise = toy_context.decrypt_with_noise(ct, toy_keys.secret)
+        assert plain == want[0]
+        assert noise == want[1] > 0
+
     def test_secret_key_is_ternary(self, toy_keys):
         assert set(np.unique(toy_keys.secret.coeffs)) <= {-1, 0, 1}
 
@@ -282,3 +312,155 @@ class TestDeterminism:
         keys_b = FvContext(toy_params, seed=8).keygen()
         assert not np.array_equal(keys_a.secret.coeffs,
                                   keys_b.secret.coeffs)
+
+
+# -- HPS decryption against the big-integer path -----------------------------------
+
+PARAM_SETS = {"toy": toy, "mini": mini, "hpca19": hpca19,
+              "table5_large": table5_large}
+
+
+def big_int_decrypt(params, w_rows):
+    """The big-integer decryption HPS rounding replaced: CRT every
+    column, round half away from zero, then the centered noise loop."""
+    basis = FvContext(params).q_basis
+    q, t = params.q, params.t
+    w_coeffs = basis.reconstruct_coeffs_centered(w_rows)
+    m_coeffs = [round_half_away(t * w, q) % t for w in w_coeffs]
+    noise = 0
+    for w, m in zip(w_coeffs, m_coeffs, strict=True):
+        diff = (w - params.delta * m) % q
+        if diff > q // 2:
+            diff = q - diff
+        noise = max(noise, diff)
+    return m_coeffs, noise
+
+
+@lru_cache(maxsize=None)
+def hps_case(name, t):
+    """A context and a ternary secret (no public or relin keys)."""
+    context = FvContext(PARAM_SETS[name](t=t), seed=3)
+    params = context.params
+    coeffs = uniform_ternary(np.random.default_rng(4), params.n)
+    rows = coeffs[None, :] % context.q_basis.primes_col
+    secret = SecretKey(coeffs=coeffs, rns=RnsPoly(context.q_basis, rows),
+                       ntt_rows=ntt_rows(params.q_primes, rows))
+    return context, secret
+
+
+def ciphertext_with_phase(context, secret, w_rows, rng, size=2):
+    """A ciphertext whose phase ``c0 + c1*s (+ c2*s^2)`` is ``w_rows``:
+    random c1 (and c2), c0 solved for."""
+    params = context.params
+    primes_col = context.q_basis.primes_col
+    others = [uniform_rns_rows(rng, params.n, params.q_primes)
+              for _ in range(size - 1)]
+    acc = np.zeros_like(w_rows)
+    s_power = secret.ntt_rows
+    for part in others:
+        acc = (acc + ntt_rows(params.q_primes, part) * s_power) % primes_col
+        s_power = (s_power * secret.ntt_rows) % primes_col
+    c0 = (w_rows - intt_rows(params.q_primes, acc)) % primes_col
+    return Ciphertext(tuple(RnsPoly(context.q_basis, rows)
+                            for rows in [c0, *others]), params)
+
+
+def garbage_rows(context, rng):
+    params = context.params
+    return uniform_rns_rows(rng, params.n, params.q_primes)
+
+
+@pytest.mark.parametrize("t", [2, 256, 65537])
+@pytest.mark.parametrize("name", list(PARAM_SETS))
+class TestHpsDecryption:
+    """``decrypt_with_noise`` returns the bit-identical plaintext and the
+    identical integer noise of the big-integer path."""
+
+    def test_garbage_residues(self, name, t, rng):
+        context, secret = hps_case(name, t)
+        w_rows = garbage_rows(context, rng)
+        plain, noise = context.decrypt_with_noise(
+            ciphertext_with_phase(context, secret, w_rows, rng), secret)
+        m_coeffs, want = big_int_decrypt(context.params, w_rows)
+        assert plain.coeffs.tolist() == m_coeffs
+        assert noise == want
+        # Uniform phases carry noise at the q/(2t) decryption threshold.
+        threshold = context.params.q // (2 * t)
+        assert threshold.bit_length() - 4 <= noise.bit_length() \
+            <= threshold.bit_length()
+
+    @pytest.mark.parametrize("bound", [0, 1, 2**40])
+    def test_known_noise(self, name, t, bound, rng):
+        context, secret = hps_case(name, t)
+        params = context.params
+        m = rng.integers(0, t, params.n)
+        e = rng.integers(-bound, bound + 1, params.n)
+        e[:2] = (bound, -bound)
+        w_rows = (context.delta_rows * m + e) % context.q_basis.primes_col
+        plain, noise = context.decrypt_with_noise(
+            ciphertext_with_phase(context, secret, w_rows, rng), secret)
+        assert plain.coeffs.tolist() == m.tolist()
+        assert noise == bound
+        assert (plain.coeffs.tolist(), noise) == \
+            big_int_decrypt(params, w_rows)
+
+    def test_three_part_ciphertext(self, name, t, rng):
+        context, secret = hps_case(name, t)
+        w_rows = garbage_rows(context, rng)
+        ct = ciphertext_with_phase(context, secret, w_rows, rng, size=3)
+        plain, noise = context.decrypt_with_noise(ct, secret)
+        assert (plain.coeffs.tolist(), noise) == \
+            big_int_decrypt(context.params, w_rows)
+
+    def test_near_half_columns_take_exact_fallback(self, name, t, rng):
+        """Phases ``round((2j+1) q / 2t)`` put t*w/q within a hair of a
+        half-integer: those columns must take the exact fallback, and
+        still round like the big-integer path."""
+        context, secret = hps_case(name, t)
+        basis, q = context.q_basis, context.params.q
+        w_rows = garbage_rows(context, rng)
+        forced = {}
+        for j in range(min(t, 4)):
+            near_half = round_half_away((2 * j + 1) * q, 2 * t)
+            forced[3 * j] = near_half
+            forced[3 * j + 1] = -near_half
+        for col, value in forced.items():
+            w_rows[:, col] = basis.residues_of(value)
+        m, ambiguous = hps_decrypt_round(basis, t, w_rows)
+        assert set(forced) <= set(ambiguous.tolist())
+        m_coeffs, noise = big_int_decrypt(context.params, w_rows)
+        assert m.tolist() == m_coeffs
+        plain, got_noise = context.decrypt_with_noise(
+            ciphertext_with_phase(context, secret, w_rows, rng), secret)
+        assert plain.coeffs.tolist() == m_coeffs
+        assert got_noise == noise
+
+
+class TestDecryptTransforms:
+    """Only the parts multiplied by s are forward-transformed; c0 joins
+    on whichever side of the inverse transform it lives."""
+
+    @pytest.mark.parametrize("size", [2, 3])
+    def test_coefficient_c0_is_never_transformed(self, size, rng):
+        context, secret = hps_case("toy", 65537)
+        k = context.params.k_q
+        ct = ciphertext_with_phase(context, secret,
+                                   garbage_rows(context, rng), rng, size)
+        before = transform_counts()
+        context.decrypt_with_noise(ct, secret)
+        after = transform_counts()
+        assert after["forward_rows"] - before["forward_rows"] == \
+            (size - 1) * k
+        assert after["inverse_rows"] - before["inverse_rows"] == k
+
+    def test_every_domain_mix_decrypts_identically(self, rng):
+        context, secret = hps_case("mini", 65537)
+        w_rows = garbage_rows(context, rng)
+        ct = ciphertext_with_phase(context, secret, w_rows, rng)
+        want = big_int_decrypt(context.params, w_rows)
+        resident = context.to_ntt_ct(ct)
+        for c0, c1 in ((ct.c0, ct.c1), (resident.c0, resident.c1),
+                       (resident.c0, ct.c1), (ct.c0, resident.c1)):
+            plain, noise = context.decrypt_with_noise(
+                Ciphertext((c0, c1), context.params), secret)
+            assert (plain.coeffs.tolist(), noise) == want

@@ -243,6 +243,10 @@ class TestGoldenModel:
             assert np.array_equal(
                 np.asarray(session.decrypt(result.handle("out"))),
                 expected), config
+            # Calibration: the static noise walk is never more
+            # optimistic than the budget the execution measures.
+            assert program.static_noise_bits()["out"] <= \
+                result.noise_budget_bits("out"), config
             results[config] = result.ciphertext("out")
         for resident, optimise in itertools.product((True, False),
                                                     (False, True)):

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import ParameterError
+from repro.params import hpca19, hpca19_large, large16k, mini, table5_large, toy
 from repro.rns.basis import (
     RECIP_FRACTION_BITS,
     RnsBasis,
@@ -84,6 +85,31 @@ class TestRnsBasis:
         with pytest.raises(ParameterError):
             RnsBasis((17, 17))
 
+    def test_mixed_radix_digits_recompose(self, q_basis, rng):
+        _, _, weights = q_basis.mixed_radix_tables()
+        values = [int.from_bytes(rng.bytes(16), "little") % q_basis.modulus
+                  for _ in range(50)] + [0, q_basis.modulus - 1]
+        digits = q_basis.mixed_radix_digits(
+            q_basis.residues_of_coeffs(values))
+        assert np.all((digits >= 0) & (digits < q_basis.primes_col))
+        for col, value in enumerate(values):
+            assert sum(int(d) * w for d, w
+                       in zip(digits[:, col], weights, strict=True)) == value
+
+    def test_centered_abs_max_matches_bigint(self, q_basis, rng):
+        modulus = q_basis.modulus
+        half = (modulus - 1) // 2
+        edges = [0, 1, half, half + 1, modulus - 1]
+        for extra in ([], [half], [half + 1], [1, modulus - 1]):
+            values = [int.from_bytes(rng.bytes(8), "little")
+                      for _ in range(20)] + extra
+            matrix = q_basis.residues_of_coeffs(values)
+            want = max(abs(v) for v in
+                       q_basis.reconstruct_coeffs_centered(matrix))
+            assert q_basis.centered_abs_max(matrix) == want
+        matrix = q_basis.residues_of_coeffs(edges)
+        assert q_basis.centered_abs_max(matrix) == half
+
     def test_star_mod_table_shape(self, q_basis, mini_params):
         table = q_basis.star_mod_table(mini_params.p_primes)
         assert table.shape == (mini_params.k_p, mini_params.k_q)
@@ -110,6 +136,56 @@ class TestHpsQuotient:
         x = (rng.integers(0, 2**30, size=(k, 500)) % q_basis.primes_col)
         v = hps_quotient(q_basis, x.astype(np.int64))
         assert np.all(v >= 0) and np.all(v <= k)
+
+
+@pytest.mark.parametrize("t", [2, 65537])
+@pytest.mark.parametrize(
+    "param_set", [toy, mini, hpca19, table5_large, large16k, hpca19_large],
+    ids=lambda f: f.__name__)
+def test_fixed_point_accumulators_fit_int64(param_set, t):
+    """Worst-case int64 accumulators (every residue at q_i - 1) of the
+    HPS scale, the HPS quotient and the decryption rounding and noise
+    stay below 2^63 for every shipped parameter set: numpy would wrap
+    silently."""
+    params = param_set(t=t)
+    limit = 1 << 63
+    mask = (1 << 30) - 1
+    q_top = [qi - 1 for qi in params.q_primes]
+    # scale_hps: sum_i x'_i * R_i in split 30-bit limbs.
+    scale = scale_context(params.q_primes, params.p_primes, t)
+    s_hi = sum(x * int(f) for x, f in zip(q_top, scale.frac_hi_col[:, 0],
+                                          strict=True))
+    s_lo = sum(x * int(f) for x, f in zip(q_top, scale.frac_lo_col[:, 0],
+                                          strict=True))
+    assert s_lo < limit
+    assert s_hi + (1 << 29) + (s_lo >> 30) < limit
+    # hps_quotient: sum_i x'_i * recip_i, for both lift sources.
+    for primes in (params.q_primes, params.p_primes):
+        basis = basis_for(primes)
+        top = [p - 1 for p in primes]
+        s_hi = sum(x * (r >> 30) for x, r in zip(top, basis.recip,
+                                                  strict=True))
+        s_lo = sum(x * (r & mask) for x, r in zip(top, basis.recip,
+                                                   strict=True))
+        assert s_lo < limit
+        assert s_hi + (1 << (RECIP_FRACTION_BITS - 1 - 30)) \
+            + (s_lo >> 30) < limit
+    # hps_decrypt_round: w_i * q~_i, t * y_i, the two long-division
+    # numerators r << 30, the limb sums and the pre-reduction m.
+    k = len(q_top)
+    for x in q_top:
+        assert x * x < limit
+        assert x * t < limit
+        assert x << 30 < limit
+    s_lo = k * mask
+    s_hi = k * mask + (s_lo >> 30)
+    assert k * (t - 1) + (s_hi >> 30) + 1 < limit
+    # The noise residues w - Delta*m before reduction, and the Garner
+    # step (x_j - d_i) * (q_i^-1 mod q_j).
+    for x in q_top:
+        assert x + x * (t - 1) < limit
+        for y in q_top:
+            assert max(x, y) * y < limit
 
 
 class TestLift:
