@@ -62,11 +62,17 @@ def render(records: list[dict]) -> str:
         lines.append("| " + " | ".join(row) + " |")
     if records:
         latest = records[-1]
-        eliminated = latest.get("program", {}).get("transforms_eliminated")
-        if eliminated is not None:
+        program = latest.get("program", {})
+        if "ms" in program:
+            lines += ["", f"Latest record: benchmark program graph in "
+                          f"{program['ms']} ms, {program['row_transforms']} "
+                          f"row transforms, {program['roundtrip_rows']} "
+                          f"coefficient round-trip rows."]
+        elif "transforms_eliminated" in program:
             lines += ["", f"Latest record: NTT-resident executor "
-                          f"eliminated {eliminated} row transforms on "
-                          f"the benchmark program graph."]
+                          f"eliminated {program['transforms_eliminated']} "
+                          f"row transforms on the benchmark program "
+                          f"graph."]
     if cores_records:
         lines += ["", "### Workers vs speedup (Mult/s over serial)", ""]
         cells = sorted(

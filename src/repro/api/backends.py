@@ -21,7 +21,6 @@ from ..nttmath.batch import transform_counts
 from ..obs import TraceReport, Tracer
 from ..parallel import Executor, ExecutionConfig, build_executor, use_executor
 from .program import CiphertextHandle, ExprNode, HEProgram, OpKind
-from .resident import ResidentOperandCache
 from .session import Session
 
 
@@ -61,12 +60,11 @@ class ProgramResult:
         return self.session.decrypt(self.outputs[label], size)
 
     def ciphertext(self, label: str = "out") -> Ciphertext:
-        """One output's ciphertext in its *current* domain.
+        """One output's ciphertext as it rests (evaluation domain).
 
-        Unlike :attr:`CiphertextHandle.ciphertext`, this does not force
-        a coefficient-domain conversion — with a resident-emitting
-        backend the result serialises straight into the NTT-domain wire
-        format.
+        Unlike :attr:`CiphertextHandle.ciphertext`, this makes no
+        coefficient-domain copy: the result serialises straight into
+        the NTT-domain wire format.
         """
         return self.outputs[label].node.cached
 
@@ -87,44 +85,27 @@ class LocalBackend:
     non-positive budget means the decryption is garbage, and the
     backend refuses to return it silently.
 
-    With ``ntt_resident=True`` (the default) intermediates stay in the
-    evaluation domain across ADD / SUB / MUL_PLAIN / ROTATE / SUM_SLOTS
-    chains, exactly as HEAX/Medha keep operands on-chip in NTT form:
-    rotations become slot permutations plus a key switch that never
-    leaves the NTT domain, plaintext multiplies are pointwise products
-    against the session's plaintext-constant NTT pool, and — with the
-    evaluation-domain base extension — MULTIPLY consumes resident
-    operands directly and can emit a resident product, so conversions
-    back to the coefficient domain happen only at the program's output
-    boundary. ``ntt_resident=False`` replays
-    the eager coefficient-domain schedule; :attr:`telemetry` reports
-    the forward/inverse transform counts of the last run so the saving
-    is measurable (the property tests assert it).
-
-    Residency also spans *requests*. Born-resident inputs
-    (``Session.encrypt(..., resident=True)`` or an NTT-domain wire
-    load) are ingested without a coefficient round-trip; a bounded
-    :class:`~repro.api.resident.ResidentOperandCache` keyed by handle
-    remembers the resident form of every operand this backend has
-    materialised, so a handle reused by a later program is restored
-    from cache instead of re-transformed. ``resident_outputs=True``
-    additionally skips the output boundary's inverse transform — the
-    emit half of the resident pipeline, for results that will be
-    serialised in the NTT-domain wire format or fed to further
-    programs.
+    Ciphertexts rest in the evaluation domain between ops, where HEAX
+    and the paper's coprocessor keep their operands: rotations are slot
+    permutations plus a key switch, plaintext multiplies are pointwise
+    products against the session's plaintext-constant NTT pool, and
+    MULTIPLY lifts resident operands in the evaluation domain and emits
+    a resident product. Outputs stay resident too; decryption and the
+    NTT-domain wire format consume them as they are. Coefficients are
+    visited only where an algorithm needs them (c2's WordDecomp, the
+    Galois c1 digits, the lift's quotient estimate) or where a caller
+    asks for :attr:`CiphertextHandle.ciphertext`. A coefficient-domain
+    input (``Session.wrap`` or a version-1 wire load) is transformed
+    forward once, the first time an op consumes it, and the result is
+    written back onto its node. :attr:`telemetry` reports the
+    transform counts of the last run.
     """
 
     def __init__(self, session: Session, *, verify: bool = True,
-                 ntt_resident: bool = True,
-                 resident_outputs: bool = False,
-                 resident_cache: ResidentOperandCache | None = None,
-                 resident_cache_limit: int = 64,
                  executor: Executor | ExecutionConfig | str | None
                  = None) -> None:
         self.session = session
         self.verify = verify
-        self.ntt_resident = ntt_resident
-        self.resident_outputs = resident_outputs
         # Executor selection: None defers to the ambient scope / env
         # default at run time; a mode string or ExecutionConfig is
         # built once here (degrading loudly to serial on failure); a
@@ -134,14 +115,8 @@ class LocalBackend:
         if isinstance(executor, ExecutionConfig):
             executor = build_executor(executor)
         self.executor: Executor | None = executor
-        self.resident_cache = (
-            resident_cache if resident_cache is not None
-            else ResidentOperandCache(resident_cache_limit, name="local")
-        )
         #: Transform counts of the most recent :meth:`run`.
         self.last_transform_counts: dict[str, int] = {}
-        #: Cache restores performed by the most recent :meth:`run`.
-        self.last_cache_restores = 0
         #: Wall-clock trace of the most recent :meth:`run` — per-op
         #: spans (with transform-count diffs and nested engine
         #: transform spans) reducible to rollups and a critical path.
@@ -153,20 +128,14 @@ class LocalBackend:
 
     @property
     def telemetry(self) -> dict:
-        """Execution telemetry: transform counts, cache, executor mode."""
+        """Execution telemetry: transform counts and executor mode."""
         return {
-            "ntt_resident": self.ntt_resident,
-            "resident_outputs": self.resident_outputs,
             "executor": ("ambient" if self.executor is None
                          else self.executor.name),
             "workers": (0 if self.executor is None
                         else self.executor.workers),
             "last_run": dict(self.last_transform_counts),
             "total": dict(self.total_transform_counts),
-            "resident_cache": {
-                **self.resident_cache.stats(),
-                "last_run_restores": self.last_cache_restores,
-            },
         }
 
     def run(self, program: HEProgram, **kwargs) -> ProgramResult:
@@ -192,13 +161,6 @@ class LocalBackend:
         scope = (use_executor(self.executor)
                  if self.executor is not None else nullcontext())
         with scope, tracer.activate():
-            wants = (self._plan_domains(program)
-                     if self.ntt_resident else {})
-            with tracer.span("restore_residents", kind="phase") as sp:
-                self.last_cache_restores = self._restore_residents(
-                    program, wants
-                )
-                sp.attrs["restores"] = self.last_cache_restores
             steps = program.rotation_steps()
             if steps or program.uses_sum_slots:
                 # Program-wide Galois key prefetch: one deduped keygen
@@ -218,11 +180,8 @@ class LocalBackend:
             # Hoisted rotation groups (optimiser analysis): executing
             # the first member computes every member off one shared
             # digit transform; later members hit the graph cache.
-            hoisted: dict[int, tuple[ExprNode, ...]] = {}
-            if self.ntt_resident:
-                for group in program.hoist_groups:
-                    for member in group:
-                        hoisted[id(member)] = group
+            hoisted = {id(member): group for group in program.hoist_groups
+                       for member in group}
             for node in program.nodes:
                 if node.cached is not None:
                     continue
@@ -237,48 +196,18 @@ class LocalBackend:
                     if group is not None:
                         sp.attrs["hoisted"] = self._execute_hoisted(group)
                     if node.cached is None:
-                        node.cached = self._execute(node, wants)
+                        node.cached = self._execute(node)
                     sp.attrs["transforms"] = _count_diff(
                         op_before, transform_counts()
-                    )
-            # Remember the resident operands that cross request
-            # boundaries — program inputs and outputs. Intermediates
-            # are deliberately not cached: they are never
-            # boundary-converted (the graph cache keeps them resident
-            # as long as their handles live), and a single wide program
-            # would otherwise flush the bounded FIFO of every genuinely
-            # reusable entry.
-            if self.ntt_resident:
-                boundary = list(program.inputs) + list(
-                    program.outputs.values()
-                )
-                for node in boundary:
-                    if (node.cached is not None
-                            and node.cached.ntt_resident):
-                        self.resident_cache.put(node, node.cached)
-            # Output boundary: by default results leave the executor in
-            # the coefficient domain (the legacy wire representation),
-            # mirroring the download DMA of the paper's server; with
-            # ``resident_outputs`` they stay in the evaluation domain
-            # for the NTT-domain wire format. Either way the resident
-            # form survives in the cache for cross-program reuse.
-            context = self.session.context
-            if not self.resident_outputs:
-                with tracer.span("output_boundary", kind="phase") as sp:
-                    bnd_before = transform_counts()
-                    for node in program.outputs.values():
-                        node.cached = context.to_coeff_ct(node.cached)
-                    sp.attrs["transforms"] = _count_diff(
-                        bnd_before, transform_counts()
                     )
             outputs = {
                 label: CiphertextHandle(node, self.session)
                 for label, node in program.outputs.items()
             }
             if self.verify:
-                # Noise measurement can itself transform (resident
-                # outputs decrypt through a conversion); tracing it as
-                # a phase keeps the trace totals equal to the run-level
+                # Noise measurement transforms (decryption forward-
+                # transforms the parts multiplied by s); tracing it as a
+                # phase keeps the trace totals equal to the run-level
                 # registry diff even with verification on. The measured
                 # budgets stay on the span (``noise_budget_bits``).
                 with tracer.span("verify_outputs", kind="phase") as sp:
@@ -305,88 +234,20 @@ class LocalBackend:
         return ProgramResult(self.session, outputs,
                              trace=self.last_trace)
 
-    def _restore_residents(self, program: HEProgram,
-                           wants: dict[int, bool]) -> int:
-        """Swap already-materialised coefficient-domain operands for
-        their cached resident forms where the domain plan wants them.
-
-        This is what makes residency *cross-request*: an output the
-        previous run converted at its boundary (or an input whose
-        handle access degraded it) re-enters the evaluation domain via
-        a cache hit instead of a fresh forward transform.
-        """
-        if not self.ntt_resident:
-            return 0
-        restores = 0
-        for node in program.nodes:
-            ct = node.cached
-            if ct is None or ct.ntt_resident:
-                continue
-            if not wants.get(id(node), False):
-                continue
-            resident = self.resident_cache.get(node)
-            if resident is not None:
-                node.cached = resident
-                restores += 1
-        return restores
-
-    # -- domain planning ---------------------------------------------------------------
-
-    #: Ops that compute naturally in the evaluation domain — a node
-    #: feeding one of these benefits from arriving NTT-resident.
-    #: MULTIPLY joined the set with the evaluation-domain base
-    #: extension (:func:`~repro.rns.lift.lift_hps_ntt`): resident
-    #: operands now feed the tensor step directly, so a producer
-    #: upstream of a Mult should stay resident rather than pay the
-    #: boundary inverse transform. RELINEARIZE is deliberately *not* a
-    #: sink: its c2 digits decompose raw coefficient residues, so its
-    #: three-part input must stay coefficient-domain.
-    _RESIDENT_SINKS = frozenset(
-        {OpKind.ROTATE, OpKind.MUL_PLAIN, OpKind.SUM_SLOTS,
-         OpKind.MULTIPLY, OpKind.MULTIPLY_RAW}
-    )
-    #: Domain-agnostic ops: they propagate their consumers' preference.
-    _LINEAR_OPS = frozenset(
-        {OpKind.ADD, OpKind.SUB, OpKind.NEGATE, OpKind.ADD_PLAIN}
-    )
-
-    def _plan_domains(self, program: HEProgram) -> dict[int, bool]:
-        """Consumer analysis: which nodes should produce NTT-resident
-        results?
-
-        Greedy residency wastes transforms when a rotation or plaintext
-        multiply feeds straight into a coefficient-domain boundary (a
-        program output, or MULTIPLY on a parameter set the resident
-        tensor path cannot serve): the forward transforms it saves come
-        back as inverse transforms one node later. Walking the graph in
-        reverse, a node wants to be resident exactly when some consumer
-        computes in the evaluation domain — directly, or through a
-        chain of domain-agnostic linear ops.
-        """
-        sinks = self._RESIDENT_SINKS
-        if not self.session.evaluator.resident_tensor_ok:
-            # MULTIPLY consumes coefficients here, so feeding it a
-            # resident operand would just be a counted round trip.
-            sinks = sinks - {OpKind.MULTIPLY, OpKind.MULTIPLY_RAW}
-        consumers: dict[int, list[ExprNode]] = {}
-        for node in program.nodes:
-            for arg in node.args:
-                consumers.setdefault(id(arg), []).append(node)
-        # With resident outputs the boundary conversion is skipped, so
-        # the output nodes themselves want to be born resident — a
-        # Mult-heavy chain then never materialises coefficients at all.
-        out_ids = ({id(node) for node in program.outputs.values()}
-                   if self.resident_outputs else set())
-        wants: dict[int, bool] = {}
-        for node in reversed(program.nodes):
-            wants[id(node)] = id(node) in out_ids or any(
-                user.op in sinks
-                or (user.op in self._LINEAR_OPS and wants[id(user)])
-                for user in consumers.get(id(node), ())
-            )
-        return wants
-
     # -- node dispatch -----------------------------------------------------------------
+
+    def _operand(self, node: ExprNode) -> Ciphertext:
+        """An argument's ciphertext, ingesting a coefficient-domain input.
+
+        A wrapped or version-1-loaded INPUT is the only node that can
+        rest in the coefficient domain; its forward transform is
+        written back, so every later consumer (in this program or the
+        next) reads the resident form.
+        """
+        ct = node.cached
+        if node.op is OpKind.INPUT and not ct.ntt_resident:
+            ct = node.cached = self.session.context.to_ntt_ct(ct)
+        return ct
 
     def _execute_hoisted(self, group: tuple[ExprNode, ...]) -> int:
         """Materialise a hoisted rotation group off one digit transform.
@@ -397,117 +258,60 @@ class LocalBackend:
         loop sees them as already computed.
         """
         session = self.session
-        source = group[0].args[0]
         pending = [m for m in group if m.cached is None]
         keys = {
             int(m.payload): session.rotation_key(m.payload)
             for m in pending
         }
-        results = session.galois.apply_many_resident(source.cached, keys)
+        results = session.galois.apply_many_resident(
+            self._operand(group[0].args[0]), keys
+        )
         for member in pending:
             member.cached = results[int(member.payload)]
         return len(pending)
 
-    def _execute(self, node: ExprNode, wants: dict[int, bool]) -> Ciphertext:
+    def _execute(self, node: ExprNode) -> Ciphertext:
         session = self.session
         context = session.context
-        args = [arg.cached for arg in node.args]
-        resident_out = self.ntt_resident and wants.get(id(node), False)
         if node.op is OpKind.INPUT:
             raise ParameterError(
                 "program has an unbound input (wrap() a ciphertext first)"
             )
+        args = [self._operand(arg) for arg in node.args]
         if node.op in (OpKind.ADD, OpKind.SUB):
-            if not resident_out and not all(
-                ct.c0.ntt_domain for ct in args
-            ):
-                # No downstream benefit: align mixed operands onto the
-                # coefficient domain instead of transforming forward.
-                # Converted operands are written back to their nodes so
-                # a shared subexpression never converts twice.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if ct.c0.ntt_domain:
-                        arg_node.cached = context.to_coeff_ct(ct)
-                args = [arg.cached for arg in node.args]
             op = context.add if node.op is OpKind.ADD else context.sub
             return op(args[0], args[1])
         if node.op is OpKind.NEGATE:
             return context.negate(args[0])
         if node.op is OpKind.ADD_PLAIN:
-            if self.ntt_resident and args[0].c0.ntt_domain:
-                return context.add_plain(
-                    args[0], node.payload,
-                    delta_m_ntt=session.plain_delta_ntt(node.payload),
-                )
-            return context.add_plain(args[0], node.payload)
+            return context.add_plain(
+                args[0], node.payload,
+                delta_m_ntt=session.plain_delta_ntt(node.payload),
+            )
         if node.op is OpKind.MUL_PLAIN:
-            if self.ntt_resident:
-                # MulPlain computes in the evaluation domain either
-                # way, so a resident result is free — and in an
-                # add-tree of plaintext products the deferred
-                # conversions all merge at the root. The plaintext
-                # operand comes from the session's NTT pool, and the
-                # operand's conversion is written back so a shared
-                # subexpression transforms forward only once.
-                node.args[0].cached = context.to_ntt_ct(args[0])
-                return context.mul_plain(
-                    node.args[0].cached, node.payload,
-                    m_ntt=session.plain_ntt(node.payload),
-                )
-            return context.mul_plain(args[0], node.payload)
+            return context.mul_plain(args[0], node.payload,
+                                     m_ntt=session.plain_ntt(node.payload))
         if node.op in (OpKind.MULTIPLY, OpKind.MULTIPLY_RAW):
+            # On bases where ``Evaluator.resident_tensor_ok`` is False
+            # the tensor step takes coefficient copies of its operands
+            # (the one fallback), leaving the resident nodes as they are.
             evaluator = session.evaluator
-            if (self.ntt_resident and evaluator.resident_tensor_ok
-                    and any(ct.ntt_resident for ct in args)):
-                # Evaluation-domain base extension: resident operands
-                # feed the tensor step as-is. Align any mixed operand
-                # fully onto the NTT domain with write-back so a shared
-                # subexpression transforms forward only once.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if not all(part.ntt_domain for part in ct.parts):
-                        arg_node.cached = context.to_ntt_ct(ct)
-            else:
-                # Legacy coefficient-domain boundary: the in-place lift
-                # needs coefficient residues. Convert with write-back
-                # so shared resident operands convert once.
-                for arg_node, ct in zip(node.args, args, strict=True):
-                    if ct.c0.ntt_domain:
-                        arg_node.cached = context.to_coeff_ct(ct)
-            args = [arg.cached for arg in node.args]
             if node.op is OpKind.MULTIPLY_RAW:
-                # Lazy-relin placement: the three-part tensor result
-                # flows into an ADD tree; the deferred RELINEARIZE at
-                # its root folds back to two parts (always
-                # coefficient-domain — c2 feeds WordDecomp).
+                # Lazy-relin placement: the three-part product stays in
+                # the coefficient domain (c2 feeds WordDecomp) through
+                # its ADD tree; the deferred RELINEARIZE at the root
+                # folds it back into a resident two-part ciphertext.
                 return evaluator.multiply_raw(args[0], args[1])
-            return evaluator.multiply(args[0], args[1],
-                                      session.keys.relin,
-                                      resident=resident_out)
+            return evaluator.multiply(args[0], args[1], session.keys.relin,
+                                      resident=True)
         if node.op is OpKind.RELINEARIZE:
-            ct = args[0]
-            if ct.ntt_resident and (not resident_out
-                                    or ct.parts[-1].ntt_domain):
-                # The digit decomposition reads raw coefficient
-                # residues, and the coefficient-domain fold needs
-                # coefficient (c0, c1) — only a resident-output fold
-                # with coefficient c2 can keep resident parts.
-                node.args[0].cached = context.to_coeff_ct(ct)
-                ct = node.args[0].cached
-            return session.evaluator.relinearize(ct, session.keys.relin,
-                                                 resident=resident_out)
+            return session.evaluator.relinearize(args[0], session.keys.relin,
+                                                 resident=True)
         if node.op is OpKind.ROTATE:
-            key = session.rotation_key(node.payload)
-            if self.ntt_resident and (args[0].c0.ntt_domain
-                                      or resident_out):
-                return session.galois.apply_resident(args[0], key)
-            return session.galois.apply(args[0], key)
+            return session.galois.apply_resident(
+                args[0], session.rotation_key(node.payload)
+            )
         if node.op is OpKind.SUM_SLOTS:
-            if self.ntt_resident:
-                # The internal rotate-and-add chain always benefits
-                # from residency, whatever happens downstream.
-                return session.galois.sum_all_slots_resident(
-                    args[0], session.summation_keys()
-                )
             return session.galois.sum_all_slots(args[0],
                                                 session.summation_keys())
         raise ParameterError(f"unknown op {node.op!r}")  # pragma: no cover

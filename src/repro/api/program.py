@@ -76,8 +76,8 @@ class ExprNode:
     recompute shared subexpressions.
     """
 
-    #: ``__weakref__`` lets the cross-request resident-operand caches
-    #: key entries on nodes without pinning the expression graph.
+    #: ``__weakref__`` lets the simulated backend's resident-operand
+    #: cache key entries on nodes without pinning the expression graph.
     __slots__ = ("op", "args", "payload", "depth", "cached",
                  "__weakref__")
 
@@ -132,18 +132,13 @@ class CiphertextHandle:
     def ciphertext(self) -> Ciphertext:
         """The concrete ciphertext (materialising lazily if needed).
 
-        Handles are the user-facing boundary, so the result is always
-        coefficient-domain — an NTT-resident intermediate left in the
-        graph cache by the resident executor is converted (and written
-        back) on first access.
+        Handles are the user-facing boundary, so the result is a
+        coefficient-domain copy; the graph cache keeps the resident
+        form, so handle access never degrades later executions.
         """
         if self.node.cached is None:
             self.session.run(self)
-        if self.node.cached.ntt_resident:
-            self.node.cached = self.session.context.to_coeff_ct(
-                self.node.cached
-            )
-        return self.node.cached
+        return self.session.context.to_coeff_ct(self.node.cached)
 
     # -- graph-building helpers ------------------------------------------------------
 

@@ -1,20 +1,15 @@
-"""Cross-request resident-operand cache shared by both executors.
+"""Cross-request resident-operand cache of the simulated backend.
 
 The paper's server keeps operands in the FPGA board's DDR between
-jobs; HEAX/Medha-style accelerators go further and keep them in the
-*evaluation domain*. This module is the software twin of that policy
-at request granularity: a bounded cache keyed by ciphertext handle
+jobs. This module is the software twin of that policy at request
+granularity: a bounded cache keyed by ciphertext handle
 (expression-graph node identity) that remembers, across program
-executions,
-
-* for :class:`~repro.api.backends.LocalBackend`: the NTT-resident form
-  of an operand, so a handle reused by a later program is restored
-  without re-transforming (zero coefficient-domain round-trips for the
-  operand);
-* for :class:`~repro.api.simulated.SimulatedBackend`: the fact that
-  the server already holds the operand, so the lowered
-  :class:`~repro.system.workloads.Job` stream prices its upload at
-  zero polynomial transfers.
+executions of :class:`~repro.api.simulated.SimulatedBackend`, the fact
+that the server already holds an operand, so the lowered
+:class:`~repro.system.workloads.Job` stream prices its upload at zero
+polynomial transfers. (The functional
+:class:`~repro.api.backends.LocalBackend` needs no such cache: its
+ciphertexts rest NTT-resident on their graph nodes.)
 
 Entries are keyed by ``id(node)`` but hold the node only through a
 weak reference: a client dropping every handle to an operand lets the
@@ -43,8 +38,8 @@ class ResidentOperandCache:
 
     ``hits``/``misses`` count :meth:`get` outcomes; ``evictions``
     counts entries dropped at the bound. :meth:`stats` snapshots all
-    three plus the live entry count — the numbers both backends expose
-    through their telemetry, and every event is mirrored to the
+    three plus the live entry count — the numbers the simulated backend
+    exposes through its telemetry, and every event is mirrored to the
     ``repro_resident_cache_events_total`` instrument on the scoped
     :mod:`repro.obs` registry (labelled by the cache's ``name``), so
     registry snapshots embedded in reports carry the cache story too.

@@ -179,16 +179,15 @@ class Session:
 
     # -- encrypt / decrypt -------------------------------------------------------------
 
-    def encrypt(self, values, *, resident: bool = False) -> CiphertextHandle:
+    def encrypt(self, values) -> CiphertextHandle:
         """Encode + encrypt; returns an opaque (lazy-capable) handle.
 
-        ``resident=True`` births the ciphertext NTT-resident (the
-        public-key products never leave the evaluation domain) — the
-        right choice when the handle feeds resident execution chains
-        or the NTT-domain wire format.
+        The ciphertext is born NTT-resident (the public-key products
+        never leave the evaluation domain), the domain every ciphertext
+        rests in between ops.
         """
         ct = self.context.encrypt(self.encode(values), self.keys.public,
-                                  resident=resident)
+                                  resident=True)
         return self.wrap(ct)
 
     def wrap(self, ciphertext: Ciphertext) -> CiphertextHandle:
@@ -203,19 +202,13 @@ class Session:
         NTT-resident operands are written in the NTT-domain wire format
         (no inverse transform), so a server can persist and reload
         resident state without ever visiting the coefficient domain.
-        Lazy handles are materialised first — through a
-        resident-emitting executor, so a resident expression chain is
-        not degraded by the default output boundary on its way to disk.
+        Lazy handles are materialised first.
         """
         from ..io import save_ciphertext
 
         if isinstance(value, CiphertextHandle):
             if value.node.cached is None:
-                from .backends import LocalBackend
-
-                LocalBackend(self, resident_outputs=True).run(
-                    self.compile(value, check=False)
-                )
+                self.run(value)
             value = value.node.cached
         save_ciphertext(path, value)
 
@@ -234,9 +227,9 @@ class Session:
         return self.decode(self.decrypt_plaintext(value), size)
 
     def _materialized(self, value) -> Ciphertext:
-        """A handle's ciphertext in its *current* domain (no forced
-        coefficient conversion — decrypting an NTT-resident result is
-        cheaper than degrading it first), or the ciphertext itself."""
+        """A handle's ciphertext as it rests (no coefficient copy —
+        decryption consumes NTT-resident parts directly), or the
+        ciphertext itself."""
         if isinstance(value, CiphertextHandle):
             if value.node.cached is None:
                 self.run(value)

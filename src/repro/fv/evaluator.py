@@ -28,6 +28,56 @@ from .keys import RelinKey
 from .scheme import FvContext
 
 
+#: Safe lazy-accumulation width: summands are < 2^60 (products of
+#: 30-bit residues), so eight of them stay below int64 overflow.
+_LAZY_TERMS = 8
+
+
+def fold_digit_pairs(d_ntt: np.ndarray, pairs, primes_col: np.ndarray,
+                     lazy_digits: bool = False) -> tuple[np.ndarray,
+                                                         np.ndarray]:
+    """Keyswitch multiply-accumulate: ``sum_i d_i * (b_i, a_i) mod q``.
+
+    ``d_ntt`` holds the NTT-domain digits and ``pairs`` the key's
+    NTT-domain ``(b, a)`` rows (relinearisation or Galois key). Products
+    of 30-bit residues are below 2^60, so up to eight accumulate lazily
+    in int64 before a reduction; lazy ``[0, 2q)`` digits double each
+    summand, so ``lazy_digits=True`` halves the window. The final
+    reduction makes both accumulators canonical whatever the window.
+    """
+    acc0 = np.zeros_like(d_ntt[0])
+    acc1 = np.zeros_like(d_ntt[0])
+    window = _LAZY_TERMS // 2 if lazy_digits else _LAZY_TERMS
+
+    def fold(c0: int, c1: int) -> None:
+        # One channel band of the digit-pair accumulation: the digit
+        # order and reduction window per channel are the serial
+        # schedule exactly, so banding is bit-invisible.
+        pending = 0
+        tmp = np.empty_like(acc0[c0:c1])
+        for i, (b_ntt, a_ntt) in enumerate(pairs):
+            np.multiply(d_ntt[i][c0:c1], b_ntt[c0:c1], out=tmp)
+            acc0[c0:c1] += tmp
+            np.multiply(d_ntt[i][c0:c1], a_ntt[c0:c1], out=tmp)
+            acc1[c0:c1] += tmp
+            pending += 1
+            if pending == window:
+                acc0[c0:c1] %= primes_col[c0:c1]
+                acc1[c0:c1] %= primes_col[c0:c1]
+                pending = 0
+        if pending:
+            acc0[c0:c1] %= primes_col[c0:c1]
+            acc1[c0:c1] %= primes_col[c0:c1]
+
+    executor = inproc_executor()
+    if executor is None:
+        fold(0, acc0.shape[0])
+    else:
+        executor.map(lambda band: fold(*band),
+                     split_range(acc0.shape[0], 2 * executor.workers))
+    return acc0, acc1
+
+
 class Evaluator:
     """Multiplication and relinearisation over one :class:`FvContext`.
 
@@ -36,10 +86,6 @@ class Evaluator:
     multi-precision CRT route of the slower coprocessor (Sec. VI-C), which
     is functionally identical but reproduces a different cost profile.
     """
-
-    #: Safe lazy-accumulation width: summands are < 2^60 (products of
-    #: 30-bit residues), so eight of them stay below int64 overflow.
-    _LAZY_TERMS = 8
 
     def __init__(self, context: FvContext, use_hps: bool = True) -> None:
         self.context = context
@@ -102,18 +148,11 @@ class Evaluator:
     def resident_tensor_ok(self) -> bool:
         """Can the evaluation-domain tensor path serve this context?
 
-        Public form of :meth:`_resident_tensor_ok`, used by the domain
-        planner in :class:`~repro.api.backends.LocalBackend` to decide
-        whether MULTIPLY inputs may stay NTT-resident.
-        """
-        return self._resident_tensor_ok()
-
-    def _resident_tensor_ok(self) -> bool:
-        """Can the evaluation-domain tensor path serve this context?
-
         The resident lift needs the target basis to start with the
         source primes (Lift q->Q always does), 60-bit-safe reciprocal
-        tables, and the batched engine on every basis involved.
+        tables, and the batched engine on every basis involved. Where
+        it cannot, :meth:`multiply` takes coefficient copies of
+        resident operands instead.
         """
         params = self.context.params
         lift_ctx = self.context.lift_ctx
@@ -148,7 +187,7 @@ class Evaluator:
         k_total = len(self._full_primes)
         n = self.context.params.n
         resident = ((a.ntt_resident or b.ntt_resident)
-                    and self._resident_tensor_ok())
+                    and self.resident_tensor_ok)
         if resident:
             # Align both operands on the evaluation domain (forward
             # transforms only — never a round trip) and lift the four
@@ -251,9 +290,9 @@ class Evaluator:
 
         ``d_ntt`` holds the already-transformed digits (one stacked
         batched call at every call site — the paper's "all digits in
-        flight at once" schedule). Products of 30-bit residues are
-        below 2^60, so up to eight accumulate lazily in int64 before a
-        reduction; both accumulators share one stacked inverse call.
+        flight at once" schedule); :func:`fold_digit_pairs` accumulates
+        them against the key, and both accumulators share one stacked
+        inverse call.
 
         With ``resident=True`` the accumulators never leave the
         evaluation domain: instead of inverse-transforming them,
@@ -267,39 +306,8 @@ class Evaluator:
         """
         context = self.context
         primes_col = context.q_basis.primes_col
-        acc0 = np.zeros_like(ct.c0.residues)
-        acc1 = np.zeros_like(ct.c1.residues)
-        # Lazy [0, 2q) digits double each summand, so halve the
-        # accumulation window (4 * 2 * q^2 still fits int64).
-        window = self._LAZY_TERMS // 2 if lazy_digits \
-            else self._LAZY_TERMS
-
-        def fold(c0: int, c1: int) -> None:
-            # One channel band of the digit-pair accumulation: the
-            # digit order and reduction window per channel are the
-            # serial schedule exactly, so banding is bit-invisible.
-            pending = 0
-            tmp = np.empty_like(acc0[c0:c1])
-            for i, (b_ntt, a_ntt) in enumerate(pairs):
-                np.multiply(d_ntt[i][c0:c1], b_ntt[c0:c1], out=tmp)
-                acc0[c0:c1] += tmp
-                np.multiply(d_ntt[i][c0:c1], a_ntt[c0:c1], out=tmp)
-                acc1[c0:c1] += tmp
-                pending += 1
-                if pending == window:
-                    acc0[c0:c1] %= primes_col[c0:c1]
-                    acc1[c0:c1] %= primes_col[c0:c1]
-                    pending = 0
-            if pending:
-                acc0[c0:c1] %= primes_col[c0:c1]
-                acc1[c0:c1] %= primes_col[c0:c1]
-
-        executor = inproc_executor()
-        if executor is None:
-            fold(0, acc0.shape[0])
-        else:
-            executor.map(lambda band: fold(*band),
-                         split_range(acc0.shape[0], 2 * executor.workers))
+        acc0, acc1 = fold_digit_pairs(d_ntt, pairs, primes_col,
+                                      lazy_digits)
         if resident:
             # Evaluation-domain fold: bring (c0, c1) to the NTT domain
             # (free when the chain already is) and add the accumulators

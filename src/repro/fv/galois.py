@@ -27,9 +27,9 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import ParameterError
-from ..parallel import inproc_executor, split_range
 from ..poly.rns_poly import RnsPoly
 from .ciphertext import Ciphertext
+from .evaluator import fold_digit_pairs
 from .keys import SecretKey
 from .sampler import discrete_gaussian, uniform_rns_rows
 from .scheme import FvContext
@@ -180,57 +180,10 @@ class GaloisEngine:
         # Fused WordDecomp + NTT on the raw coefficient rows: all
         # digits share one stage-0 dgemm (apply_broadcast_many), and
         # the outputs stay lazy in [0, 2q) — the halved accumulation
-        # window in :meth:`_fold_digit_pairs` absorbs the slack, so
-        # the final conditional-subtract pass is skipped entirely.
+        # window of :func:`~repro.fv.evaluator.fold_digit_pairs` absorbs
+        # the slack, so the final conditional-subtract pass is skipped.
         return batch.ntt_broadcast_rows(self.context.params.q_primes,
                                         c1_rows, lazy=True)
-
-    def _key_switch_accumulators(self, tau_c1: np.ndarray,
-                                 key: GaloisKey) -> tuple[np.ndarray,
-                                                          np.ndarray]:
-        """NTT-domain key-switch accumulators for coefficient rows.
-
-        The raw-residue digits (each row of tau(c1) broadcast across
-        the basis) go through one stacked forward transform; products
-        of 30-bit residues accumulate lazily (they are < 2^60, so the
-        whole q basis of at most eight primes sums within int64) and
-        are reduced once.
-        """
-        return self._fold_digit_pairs(self._digit_ntt_rows(tau_c1), key)
-
-    def _fold_digit_pairs(self, d_ntt: np.ndarray,
-                          key: GaloisKey) -> tuple[np.ndarray,
-                                                   np.ndarray]:
-        """Fold NTT-domain digits against one key's (b, a) pairs."""
-        primes_col = self.context.q_basis.primes_col
-        acc0 = np.zeros_like(d_ntt[0])
-        acc1 = np.zeros_like(d_ntt[0])
-
-        def fold(c0: int, c1: int) -> None:
-            # One channel band, same digit order and reduction window
-            # as the serial loop — banding cannot change the result.
-            pending = 0
-            for i, (b_ntt, a_ntt) in enumerate(key.pairs):
-                acc0[c0:c1] += d_ntt[i][c0:c1] * b_ntt[c0:c1]
-                acc1[c0:c1] += d_ntt[i][c0:c1] * a_ntt[c0:c1]
-                pending += 1
-                # Lazy [0, 2q) digits double each summand, so the
-                # window halves: q + 4 * 2q * q stays below 2^63.
-                if pending == 4:
-                    acc0[c0:c1] %= primes_col[c0:c1]
-                    acc1[c0:c1] %= primes_col[c0:c1]
-                    pending = 0
-            if pending:
-                acc0[c0:c1] %= primes_col[c0:c1]
-                acc1[c0:c1] %= primes_col[c0:c1]
-
-        executor = inproc_executor()
-        if executor is None:
-            fold(0, acc0.shape[0])
-        else:
-            executor.map(lambda band: fold(*band),
-                         split_range(acc0.shape[0], 2 * executor.workers))
-        return acc0, acc1
 
     def apply(self, ct: Ciphertext, key: GaloisKey) -> Ciphertext:
         """tau_g on a two-part ciphertext, key-switched back under s."""
@@ -244,7 +197,9 @@ class GaloisEngine:
         tau_c0 = apply_galois_rows(ct.c0.residues, primes_col, params.n, g)
         tau_c1 = apply_galois_rows(ct.c1.residues, primes_col, params.n, g)
         # Key switch tau(c1) from tau(s) to s with raw-residue digits.
-        acc0, acc1 = self._key_switch_accumulators(tau_c1, key)
+        acc0, acc1 = fold_digit_pairs(self._digit_ntt_rows(tau_c1),
+                                      key.pairs, primes_col,
+                                      lazy_digits=True)
         delta0, delta1 = context._intt_rows(np.stack([acc0, acc1]))
         c0 = RnsPoly.trusted(
             context.q_basis,
@@ -281,7 +236,9 @@ class GaloisEngine:
                 apply_galois_rows(ct.c0.residues, primes_col, n, g)
             )
         )
-        acc0, acc1 = self._key_switch_accumulators(tau_c1, key)
+        acc0, acc1 = fold_digit_pairs(self._digit_ntt_rows(tau_c1),
+                                      key.pairs, primes_col,
+                                      lazy_digits=True)
         c0 = RnsPoly.trusted(
             context.q_basis,
             (tau_c0_ntt + acc0) % primes_col,
@@ -323,8 +280,9 @@ class GaloisEngine:
         results: dict[int, Ciphertext] = {}
         for steps, key in keys_by_step.items():
             perm = slot_permutation(n, key.element)
-            acc0, acc1 = self._fold_digit_pairs(
-                np.ascontiguousarray(d_ntt[:, :, perm]), key
+            acc0, acc1 = fold_digit_pairs(
+                np.ascontiguousarray(d_ntt[:, :, perm]), key.pairs,
+                primes_col, lazy_digits=True,
             )
             c0 = RnsPoly.trusted(
                 context.q_basis,
@@ -335,38 +293,16 @@ class GaloisEngine:
             results[steps] = Ciphertext((c0, c1), params)
         return results
 
-    def rotate(self, ct: Ciphertext, steps: int,
-               keys: dict[int, GaloisKey]) -> Ciphertext:
-        if steps not in keys:
-            raise ParameterError(f"no rotation key for {steps} steps")
-        return self.apply(ct, keys[steps])
-
     def sum_all_slots(self, ct: Ciphertext, keys: dict) -> Ciphertext:
         """Rotate-and-add: every slot ends up holding the total.
 
         The slots form a 2 x (n/2) matrix under the Galois action:
         log2(n/2) power-of-two row rotations sum within each row, then
         one conjugation folds the two rows together. Build the key set
-        with :meth:`summation_keygen`.
-        """
-        n = self.context.params.n
-        result = ct
-        step = 1
-        while step < n // 2:
-            rotated = self.rotate(result, step, keys)
-            result = self.context.add(result, rotated)
-            step *= 2
-        conjugated = self.apply(result, keys["conjugate"])
-        return self.context.add(result, conjugated)
-
-    def sum_all_slots_resident(self, ct: Ciphertext,
-                               keys: dict) -> Ciphertext:
-        """NTT-resident rotate-and-add (same algebra as sum_all_slots).
-
-        Every round's rotation output and addition stays in the
-        evaluation domain, so the whole reduction performs no inverse
-        transforms beyond the one per round that key-switching
-        fundamentally needs.
+        with :meth:`summation_keygen`. Every round's rotation output and
+        addition stays in the evaluation domain, so the reduction
+        performs no inverse transforms beyond the one per round that
+        key-switching fundamentally needs.
         """
         n = self.context.params.n
         result = self.context.to_ntt_ct(ct)

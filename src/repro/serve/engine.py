@@ -1,14 +1,13 @@
 """The discrete-event serving runtime for the Arm+FPGA server.
 
-Replaces the static list-scheduling loop of ``CloudServer.serve`` with
-an event-driven simulation: job arrivals, batch dispatches and
+An event-driven simulation: job arrivals, batch dispatches and
 completions advance a simulated clock through an event heap, so the
 model expresses queueing delay, tenant contention, DMA batching and
-admission control — while pricing every job with the *same*
-:class:`~repro.system.server.CostModel` the static loop uses. On a
-saturated single-tenant stream with batching disabled the two produce
-identical schedules (validated in the test suite), so the paper's
-400 Mult/s headline carries over unchanged.
+admission control, pricing every job with
+:class:`~repro.system.server.CostModel`. ``CloudServer.serve`` is this
+runtime with its defaults (FIFO, no batching); on a saturated stream
+job i finishes at ceil((i+1)/2) Mult times on two coprocessors, the
+paper's 400 Mult/s headline (validated in the test suite).
 
 A runtime can be driven two ways:
 

@@ -9,10 +9,9 @@ dispatches to the earliest-free instance — reproducing the paper's "two
 Mult operations take roughly the same time as one" and the 400 Mult/s
 headline.
 
-The per-job costs live in :class:`CostModel` so that both the static
-:meth:`CloudServer.serve` loop kept here and the discrete-event runtime
-in :mod:`repro.serve` price jobs identically; the two are validated
-against each other on saturated streams.
+The per-job costs live in :class:`CostModel`, which the discrete-event
+runtime in :mod:`repro.serve` prices every job with;
+:meth:`CloudServer.serve` runs a job list through that runtime.
 """
 
 from __future__ import annotations
@@ -304,25 +303,17 @@ class CloudServer:
     # -- scheduling --------------------------------------------------------------------
 
     def serve(self, jobs: list[Job]) -> ServeReport:
-        """Dispatch jobs to the earliest-free coprocessor.
+        """Dispatch jobs FIFO to the earliest-free coprocessor.
 
-        Static list scheduling in arrival order — the original Fig. 11
-        reproduction. For queueing delay, tenant contention, batching and
-        admission control use :class:`repro.serve.ServingRuntime`, which
-        matches this loop on saturated streams (see tests).
+        The Fig. 11 reproduction run through the discrete-event
+        :class:`repro.serve.ServingRuntime` with its defaults (FIFO, no
+        batching); use the runtime directly for queueing policies,
+        tenant contention, batching and admission control.
         """
-        free_at = [0.0] * self.config.num_coprocessors
-        report = ServeReport()
-        for job in jobs:
-            coproc = min(range(len(free_at)), key=free_at.__getitem__)
-            start = max(free_at[coproc], job.arrival_seconds)
-            finish = start + self.job_seconds(job.kind)
-            free_at[coproc] = finish
-            report.results.append(
-                JobResult(job=job, coprocessor=coproc,
-                          start_seconds=start, finish_seconds=finish)
-            )
-        return report
+        # Imported here: repro.serve builds on this module.
+        from ..serve.engine import simulate
+
+        return simulate(self, jobs)
 
     # -- headline numbers --------------------------------------------------------------
 

@@ -208,8 +208,7 @@ class TestHEProgram:
         prod = evaluator.multiply(a.ciphertext, b.ciphertext,
                                   session.keys.relin)
         expected_out = session.context.add(prod, c.ciphertext)
-        expected_rot = engine.rotate(prod, 2,
-                                     {2: session.rotation_key(2)})
+        expected_rot = engine.apply(prod, session.rotation_key(2))
         for label, expected in (("out", expected_out),
                                 ("rot", expected_rot)):
             got = result[label].ciphertext

@@ -217,8 +217,8 @@ class TestHomomorphicRotation:
             encoder.encode(np.ones(4, dtype=np.int64)),
             galois_keys.public,
         )
-        with pytest.raises(ParameterError):
-            engine.rotate(ct, 5, {})
+        with pytest.raises(ParameterError, match="no rotation key"):
+            engine.sum_all_slots(ct, {})
 
 
 class TestRotationOnCoprocessor:

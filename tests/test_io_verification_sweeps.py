@@ -415,8 +415,8 @@ class TestKeyMaterialWireV2:
 
         plain = Plaintext(rng.integers(0, params.t, params.n), params.t)
         ct = toy_context.encrypt(plain, toy_keys.public)
-        got = engine.rotate(ct, 1, loaded)
-        want = engine.rotate(ct, 1, keys)
+        got = engine.apply(ct, loaded[1])
+        want = engine.apply(ct, keys[1])
         assert toy_context.decrypt(got, toy_keys.secret) == \
             toy_context.decrypt(want, toy_keys.secret)
 

@@ -213,8 +213,8 @@ class TestGoldenModel:
                                                      golden_session,
                                                      monkeypatch):
         """Every execution configuration decrypts to the numpy model;
-        for one domain and optimise setting, serial and threads agree
-        to the bit."""
+        for one input domain and optimise setting, serial and threads
+        agree to the bit."""
         # Every transform tiles over the thread pool, whatever its size.
         monkeypatch.setattr(batch_mod, "PARALLEL_MIN_WORK", 1)
         session = golden_session
@@ -222,24 +222,33 @@ class TestGoldenModel:
         rng = np.random.default_rng(seed)
         values = [np.pad(rng.integers(0, 50, size=4), (0, n - 4))
                   for _ in range(3)]
-        inputs = [session.encrypt(v).ciphertext for v in values]
+        # Input domains: Session.encrypt births NTT-resident
+        # ciphertexts; FvContext.encrypt's coefficient-domain ones are
+        # ingested by the backend on first use.
+        inputs = {
+            "resident": [session.encrypt(v).node.cached for v in values],
+            "coeff": [session.context.encrypt(session.encode(v),
+                                              session.keys.public)
+                      for v in values],
+        }
+        assert all(ct.ntt_resident for ct in inputs["resident"])
+        assert not any(ct.ntt_resident for ct in inputs["coeff"])
         results = {}
-        for executor, resident, optimise in itertools.product(
-                (("serial",), ("threads", 2)), (True, False),
+        for executor, domain, optimise in itertools.product(
+                (("serial",), ("threads", 2)), tuple(inputs),
                 (False, True)):
             # Fresh graph per run (same input ciphertexts): shared nodes
             # carry ciphertext caches, which would make the comparison
             # vacuous.
-            leaves = [session.wrap(ct) for ct in inputs]
+            leaves = [session.wrap(ct) for ct in inputs[domain]]
             expr, expected = random_expr(np.random.default_rng(seed + 100),
                                          leaves, values, depth=6)
             program = session.compile(expr)
             if optimise:
                 program, _ = optimize_program(program)
             with use_executor(*executor):
-                result = LocalBackend(session,
-                                      ntt_resident=resident).run(program)
-            config = (executor[0], resident, optimise)
+                result = LocalBackend(session).run(program)
+            config = (executor[0], domain, optimise)
             assert np.array_equal(
                 np.asarray(session.decrypt(result.handle("out"))),
                 expected), config
@@ -248,10 +257,10 @@ class TestGoldenModel:
             assert program.static_noise_bits()["out"] <= \
                 result.noise_budget_bits("out"), config
             results[config] = result.ciphertext("out")
-        for resident, optimise in itertools.product((True, False),
-                                                    (False, True)):
-            serial = results[("serial", resident, optimise)]
-            threads = results[("threads", resident, optimise)]
+        for domain, optimise in itertools.product(tuple(inputs),
+                                                  (False, True)):
+            serial = results[("serial", domain, optimise)]
+            threads = results[("threads", domain, optimise)]
             assert serial.ntt_resident == threads.ntt_resident
             for want, got in zip(serial.parts, threads.parts, strict=True):
                 assert np.array_equal(want.residues, got.residues)
@@ -306,8 +315,7 @@ class TestBackendIntegration:
         program = session.compile(expr)
         optimized, report = optimize_program(program)
         assert report.hoist_groups == 1
-        backend = LocalBackend(session, ntt_resident=True)
-        result = backend.run(optimized)
+        result = LocalBackend(session).run(optimized)
         got = np.asarray(session.decrypt(result.handle("out")))
         assert np.array_equal(got, expected)
 
@@ -320,15 +328,13 @@ class TestBackendIntegration:
         optimized, _ = optimize_program(program)
         counts = ops_of(optimized)
         assert counts[OpKind.MULTIPLY_RAW] == 2
-        for resident in (False, True):
-            fresh = LocalBackend(session, ntt_resident=resident)
-            # Clear caches so each run actually executes.
-            for node in optimized.nodes:
-                if node.op is not OpKind.INPUT:
-                    node.cached = None
-            result = fresh.run(optimized)
-            got = np.asarray(session.decrypt(result.handle("out")))
-            assert np.array_equal(got, expected)
+        # Clear caches so the run actually executes.
+        for node in optimized.nodes:
+            if node.op is not OpKind.INPUT:
+                node.cached = None
+        result = LocalBackend(session).run(optimized)
+        got = np.asarray(session.decrypt(result.handle("out")))
+        assert np.array_equal(got, expected)
 
 
 class TestSimulatedPricing:

@@ -1,6 +1,6 @@
-"""End-to-end NTT residency: encrypt, wire format, cross-request cache.
+"""End-to-end NTT residency: encrypt, wire format, one domain at rest.
 
-The invariants of the resident pipeline PR:
+The invariants of the resident pipeline:
 
 * resident encrypt is the *same* encryption: for identical randomness
   it converts bit-for-bit to the legacy ciphertext, decrypts to the
@@ -8,12 +8,14 @@ The invariants of the resident pipeline PR:
 * the versioned NTT-domain wire format round-trips resident operands
   without an inverse transform, rejects a payload whose domain flag
   was tampered with, and still loads version-1 (coefficient) files;
-* a serialized-resident operand reused across two programs performs
-  **zero** coefficient-domain round-trips (the acceptance criterion),
-  proved with exact transform-count telemetry;
-* both executors' cross-request resident-operand caches are bounded,
-  hit on reuse, and (for the simulated backend) price cache hits as
-  zero-transfer in the lowered job stream.
+* ciphertexts rest in the evaluation domain between ops: programs
+  run from encrypt to decrypt with **zero** coefficient-domain
+  round-trips, and an output or serialized-resident operand reused by
+  later programs costs no forward transform, proved with exact
+  transform-count telemetry;
+* the simulated backend's cross-request resident-operand cache is
+  bounded, hits on reuse, and prices cache hits as zero-transfer in
+  the lowered job stream.
 """
 
 import json
@@ -26,6 +28,7 @@ import pytest
 from repro.api import LocalBackend, ResidentOperandCache, Session, SimulatedBackend
 from repro.errors import EncodingError, ParameterError
 from repro.fv.encoder import Plaintext
+from repro.fv.galois import rotation_element, slot_permutation
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
 from repro.io import MAGIC, load_ciphertext, save_ciphertext
 from repro.params import mini, toy
@@ -95,7 +98,7 @@ class TestNttWireFormat:
     def test_resident_roundtrip_preserves_domain_and_bits(self, tmp_path):
         params = mini(t=257)
         session = Session(params, seed=9)
-        handle = session.encrypt([4, 5, 6], resident=True)
+        handle = session.encrypt([4, 5, 6])
         ct = handle.node.cached
         path = tmp_path / "resident.ct"
         session.save_ciphertext(path, handle)
@@ -186,11 +189,11 @@ class TestZeroRoundTripAcrossPrograms:
         round-trips. Transform telemetry is exact: each run transforms
         only its fresh plaintext constant (k_q rows forward), never the
         operand (no forward: it arrived resident; no inverse: outputs
-        are emitted resident)."""
+        rest resident)."""
         params = mini(t=257)
         session = Session(params, seed=21)
         k = params.k_q
-        source = session.encrypt([1, 2, 3, 4], resident=True)
+        source = session.encrypt([1, 2, 3, 4])
         path = tmp_path / "operand.ct"
         session.save_ciphertext(path, source)
         operand = session.load_ciphertext(path)
@@ -198,8 +201,7 @@ class TestZeroRoundTripAcrossPrograms:
         # verify=False: the assertion is about *execution*
         # transform economy; the verify phase's noise probe has
         # its own traced transforms.
-        backend = LocalBackend(session, resident_outputs=True,
-                               verify=False)
+        backend = LocalBackend(session, verify=False)
         first = backend.run(session.compile(operand * 3, name="p1",
                                             check=False))
         counts1 = dict(backend.last_transform_counts)
@@ -213,13 +215,12 @@ class TestZeroRoundTripAcrossPrograms:
         assert list(second.decrypt("out", size=4)) == [5, 10, 15, 20]
 
     def test_lazy_resident_handle_saves_in_ntt_domain(self, tmp_path):
-        """Regression: save_ciphertext materialises lazy handles
-        through a resident-emitting executor, so a resident expression
-        chain reaches the wire without the default output boundary's
-        inverse transform."""
+        """Regression: save_ciphertext materialises lazy handles, and
+        their results rest resident, so a resident expression chain
+        reaches the wire without an inverse transform."""
         params = mini(t=257)
         session = Session(params, seed=33)
-        lazy = session.encrypt([6, 7], resident=True) * 3
+        lazy = session.encrypt([6, 7]) * 3
         path = tmp_path / "lazy.ct"
         session.save_ciphertext(path, lazy)
         restored = load_ciphertext(path, params)
@@ -230,8 +231,8 @@ class TestZeroRoundTripAcrossPrograms:
     def test_resident_outputs_serialise_without_conversion(self, tmp_path):
         params = mini(t=257)
         session = Session(params, seed=23)
-        backend = LocalBackend(session, resident_outputs=True)
-        h = session.encrypt([2, 4], resident=True)
+        backend = LocalBackend(session)
+        h = session.encrypt([2, 4])
         result = backend.run(session.compile(h * 2, name="emit",
                                              check=False))
         out_ct = result.ciphertext("out")
@@ -249,27 +250,7 @@ class _Node:
 
 
 class TestLocalResidentCache:
-    def test_boundary_converted_output_restores_from_cache(self):
-        params = mini(t=257)
-        session = Session(params, seed=25)
-        k = params.k_q
-        # verify=False keeps the transform ledger to execution
-        # work only (the verify phase transforms on its own).
-        backend = LocalBackend(session, verify=False)
-        a = session.encrypt([5, 6, 7, 8], resident=True)
-        inter = a * 3
-        backend.run(session.compile(inter, name="first", check=False))
-        # The boundary converted `inter` to coefficients; its resident
-        # form survives in the cache.
-        assert backend.telemetry["resident_cache"]["entries"] >= 1
-        backend.run(session.compile(inter * 2, name="second",
-                                    check=False))
-        telemetry = backend.telemetry["resident_cache"]
-        assert telemetry["hits"] >= 1
-        assert telemetry["last_run_restores"] >= 1
-        # Only the new plaintext constant transformed forward — the
-        # restored operand did not.
-        assert backend.last_transform_counts["forward_rows"] == k
+    """The bounded, weakly keyed cache behind the simulated backend."""
 
     def test_cache_is_bounded_with_fifo_eviction(self):
         cache = ResidentOperandCache(limit=2)
@@ -357,10 +338,9 @@ class TestSimulatedResidentCache:
 
 
 class TestResidentMultiplyLoop:
-    """PR 10 acceptance: a Mult-heavy resident program never
-    materialises coefficients — proved by the round-trip telemetry —
-    and stays bit-identical to the legacy coefficient-domain schedule,
-    across serial and threaded executors.
+    """A Mult-heavy program never materialises coefficients — proved by
+    the round-trip telemetry — and is bit-identical whichever domain
+    its inputs arrive in, across serial and threaded executors.
     """
 
     @pytest.mark.parametrize("executor", [None, ("threads", 4)])
@@ -369,42 +349,125 @@ class TestResidentMultiplyLoop:
 
         params = mini()
         session = Session(params, seed=41)
-        a = session.encrypt([1, 2, 3, 4], resident=True)
-        b = session.encrypt([5, 6, 7, 8], resident=True)
-        c = session.encrypt([2, 2, 2, 2], resident=True)
-        d = session.encrypt([3, 1, 3, 1], resident=True)
+        a = session.encrypt([1, 2, 3, 4])
+        b = session.encrypt([5, 6, 7, 8])
+        c = session.encrypt([2, 2, 2, 2])
+        d = session.encrypt([3, 1, 3, 1])
         program = session.compile((a * b) * (c * d), name="mult-heavy",
                                   check=False)
         config = (ExecutionConfig(mode=executor[0], workers=executor[1])
                   if executor else None)
-        backend = LocalBackend(session, verify=False,
-                               resident_outputs=True, executor=config)
+        backend = LocalBackend(session, verify=False, executor=config)
         result = backend.run(program)
         counts = backend.last_transform_counts
         assert counts["roundtrip_rows"] == 0
         assert counts["roundtrip_calls"] == 0
-        assert result.ciphertext("out").ntt_resident
+        got = result.ciphertext("out")
+        assert got.ntt_resident
 
-        # Decrypt-equal to the eager coefficient-domain schedule run
-        # over the *same* input ciphertexts (their resident forms are
-        # exact conversions, so the legacy pipeline computes the same
-        # product).
-        legacy = LocalBackend(session, verify=False, ntt_resident=False)
-        reference = legacy.run(session.compile(
-            (a * b) * (c * d), name="mult-heavy-legacy", check=False
+        # The same inputs as coefficient-domain wraps: the backend
+        # transforms them forward on first use, exactly, so the product
+        # is bit-identical.
+        wrapped = [session.wrap(h.ciphertext) for h in (a, b, c, d)]
+        assert not any(h.node.cached.ntt_resident for h in wrapped)
+        wa, wb, wc, wd = wrapped
+        reference = LocalBackend(session, verify=False).run(session.compile(
+            (wa * wb) * (wc * wd), name="mult-heavy-coeff", check=False
         ))
-        got = np.asarray(session.decrypt(result.handle("out")))
-        want = np.asarray(session.decrypt(reference.handle("out")))
-        assert np.array_equal(got, want)
+        want = reference.ciphertext("out")
+        for got_part, want_part in zip(got.parts, want.parts, strict=True):
+            assert np.array_equal(got_part.residues, want_part.residues)
 
     def test_resident_inputs_consumed_without_conversion(self):
         params = mini()
         session = Session(params, seed=43)
-        a = session.encrypt([9, 8, 7], resident=True)
-        b = session.encrypt([1, 2, 3], resident=True)
+        a = session.encrypt([9, 8, 7])
+        b = session.encrypt([1, 2, 3])
         program = session.compile(a * b, name="one-mult", check=False)
         backend = LocalBackend(session, verify=False)
         backend.run(program)
         counts = backend.last_transform_counts
         assert counts["roundtrip_rows"] == 0
         assert counts["roundtrip_calls"] == 0
+
+
+def _mult_tree(session, rng, t):
+    values = [rng.integers(0, t, session.params.n) for _ in range(4)]
+    a, b, c, d = (session.encrypt(v) for v in values)
+    va, vb, vc, vd = values
+    return (a * b) * (c * d), (((va * vb) % t) * ((vc * vd) % t)) % t
+
+
+def _hoisted_matvec(session, rng, t):
+    """Halevi-Shoup mat-vec over four diagonals (three hoisted
+    rotations of one source, each times a plaintext diagonal)."""
+    n = session.params.n
+    x = rng.integers(0, t, n)
+    handle = session.encrypt(x)
+    total, expected = None, np.zeros(n, dtype=np.int64)
+    for k in range(4):
+        diagonal = rng.integers(0, t, n)
+        term = (handle if k == 0 else handle.rotate(k)) \
+            * session.encode(diagonal)
+        total = term if total is None else total + term
+        perm = slot_permutation(n, rotation_element(k, n))
+        expected = (expected + x[perm] * diagonal) % t
+    return total, expected
+
+
+class TestOneDomain:
+    """Encrypt -> run -> decrypt with every ciphertext resting in the
+    evaluation domain between ops."""
+
+    @pytest.mark.parametrize("shape", [_mult_tree, _hoisted_matvec],
+                             ids=["mult_tree", "hoisted_matvec"])
+    def test_program_runs_without_roundtrips(self, shape):
+        params = mini(t=65537)
+        session = Session(params, seed=51)
+        expr, expected = shape(session, np.random.default_rng(52), params.t)
+        program = session.compile(expr, optimize=True)
+        if shape is _hoisted_matvec:
+            assert program.hoist_groups
+        backend = LocalBackend(session)
+        result = backend.run(program)
+        assert backend.last_transform_counts["roundtrip_rows"] == 0
+        assert result.ciphertext("out").ntt_resident
+        assert np.array_equal(np.asarray(result.decrypt("out")), expected)
+
+    def test_reused_output_costs_no_forward_transform(self):
+        params = mini(t=257)
+        session = Session(params, seed=53)
+        first = LocalBackend(session).run(session.compile(
+            session.encrypt([1, 2, 3]) * 2, name="first", check=False
+        ))
+        handle = first.handle("out")
+        # Handle access hands out a coefficient copy and leaves the
+        # graph cache resident.
+        assert not handle.ciphertext.ntt_resident
+        assert handle.node.cached.ntt_resident
+        backend = LocalBackend(session, verify=False)
+        second = backend.run(session.compile(handle + handle, name="second",
+                                             check=False))
+        counts = backend.last_transform_counts
+        assert counts["forward_rows"] == 0, counts
+        assert counts["roundtrip_rows"] == 0, counts
+        assert list(second.decrypt("out", size=3)) == [4, 8, 12]
+
+    def test_coefficient_input_is_transformed_once(self):
+        """A wrapped coefficient-domain input is forward-transformed the
+        first time an op consumes it, and the resident form is written
+        back onto its node for every later consumer."""
+        params = mini(t=257)
+        session = Session(params, seed=55)
+        ct = session.context.encrypt(session.encode([5, 6]),
+                                     session.keys.public)
+        assert not ct.ntt_resident
+        x = session.wrap(ct)
+        backend = LocalBackend(session, verify=False)
+        first = backend.run(session.compile(x + x, name="ingest",
+                                            check=False))
+        assert backend.last_transform_counts["forward_rows"] == 2 * params.k_q
+        assert x.node.cached.ntt_resident
+        backend.run(session.compile(x - x, name="again", check=False))
+        assert backend.last_transform_counts["forward_rows"] == 0
+        assert list(first.decrypt("out", size=2)) == [10, 12]

@@ -155,14 +155,27 @@ class TestEngineMatchesStaticLoop:
         poisson_stream(600.0, 0.3, seed=9),
     ], ids=["saturated", "underload", "overload"])
     def test_fifo_engine_reproduces_legacy_serve(self, server, jobs):
-        """serve() is a compatibility wrapper for FIFO + no batching."""
-        legacy = server.serve(jobs)
-        event = simulate(server, jobs)
-        legacy_finishes = sorted(r.finish_seconds for r in legacy.results)
-        event_finishes = sorted(r.finish_seconds for r in event.results)
-        assert event_finishes == pytest.approx(legacy_finishes)
-        assert event.makespan_seconds == \
-            pytest.approx(legacy.makespan_seconds)
+        """serve() keeps the schedule of the list-scheduling loop it
+        replaced, pinned in closed form: with one job cost c on two
+        coprocessors, FIFO job i finishes at max(arrival_i,
+        finish_{i-2}) + c, so a saturated stream finishes job i at
+        ceil((i+1)/2) * c."""
+        cost = server.job_seconds(JobKind.MULT)
+        assert server.config.num_coprocessors == 2
+        assert all(job.kind is JobKind.MULT for job in jobs)
+        expected: list[float] = []
+        for i, job in enumerate(jobs):
+            free = expected[i - 2] if i >= 2 else 0.0
+            expected.append(max(job.arrival_seconds, free) + cost)
+        if all(job.arrival_seconds == 0.0 for job in jobs):
+            assert expected == pytest.approx(
+                [-(-(i + 1) // 2) * cost for i in range(len(jobs))])
+        report = server.serve(jobs)
+        assert not report.rejected
+        finishes = sorted(r.finish_seconds for r in report.results)
+        assert finishes == pytest.approx(expected)
+        assert report.makespan_seconds == pytest.approx(
+            expected[-1] - jobs[0].arrival_seconds)
 
     def test_both_coprocessors_used(self, server):
         report = simulate(server, mult_stream(40))
