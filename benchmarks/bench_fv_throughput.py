@@ -18,7 +18,8 @@ deterministic cost; noise only ever adds time), in gc-disabled
 rounds. Results are printed and written to
 ``benchmarks/results/fv_throughput.txt``; each run also **appends**
 one record — the headline block plus a ring-degree sweep
-(n = 4096 ... 32768) and run metadata (git sha, numpy version) — to
+(n = 4096 ... 32768: Mult, and the ungated gemm-engine forward and
+inverse ms per row) and run metadata (git sha, numpy version) — to
 the tracked perf trajectory in ``benchmarks/results/BENCH_fv_ops.json``.
 Each gate is an absolute ms ceiling (see ``MULT_CEILING_MS``).
 
@@ -51,7 +52,7 @@ from repro.fv.encoder import Plaintext
 from repro.fv.evaluator import Evaluator
 from repro.fv.galois import GaloisEngine, galois_index_maps, rotation_element
 from repro.fv.scheme import FvContext
-from repro.nttmath.batch import batched_engine_ok
+from repro.nttmath.batch import basis_transformer, batched_engine_ok
 from repro.nttmath.ntt import negacyclic_convolution
 from repro.obs import current_registry, diff_snapshots
 from repro.parallel import available_cores, use_executor
@@ -222,6 +223,8 @@ def sweep_point(n: int) -> dict:
     ms, _ = best_ms(lambda: evaluator.multiply(ct1, ct2, keys.relin),
                     SWEEP_CEILING_MS[n], reps=SWEEP_REPS, min_rounds=1,
                     max_rounds=SWEEP_ROUNDS)
+    forward_row_ms, inverse_row_ms = engine_row_ms(
+        params.q_primes + params.p_primes, n)
     return {
         "n": n,
         "params": params.name,
@@ -231,7 +234,29 @@ def sweep_point(n: int) -> dict:
         "mult_ms": round(ms, 3),
         "mult_ops_per_s": round(1e3 / ms, 2),
         "mult_ceiling_ms": SWEEP_CEILING_MS[n],
+        "forward_row_ms": round(forward_row_ms, 4),
+        "inverse_row_ms": round(inverse_row_ms, 4),
     }
+
+
+def engine_row_ms(primes: tuple[int, ...], n: int) -> tuple[float, float]:
+    """Ungated gemm-engine cost per row transform over one basis.
+
+    Forward and inverse of one ``(k, n)`` residue matrix, each the
+    minimum over the sweep's rounds divided by ``k``. The inverse is
+    checked to undo the forward before any timing.
+    """
+    bt = basis_transformer(primes, n)
+    mat = np.random.default_rng(n).integers(0, bt.primes_col,
+                                            size=(bt.k, n))
+    fwd = bt.forward(mat)
+    assert np.array_equal(bt.inverse(fwd), mat)
+    timings = []
+    for fn in (lambda: bt.forward(mat), lambda: bt.inverse(fwd)):
+        ms, _ = best_ms(fn, float("inf"), reps=SWEEP_REPS,
+                        min_rounds=SWEEP_ROUNDS, max_rounds=SWEEP_ROUNDS)
+        timings.append(ms / bt.k)
+    return timings[0], timings[1]
 
 
 def test_fv_throughput():
@@ -371,18 +396,21 @@ def test_fv_throughput():
         f"row transforms per program run: {program_rows} "
         f"({program_counts['roundtrip_rows']} coefficient round-trip rows)",
         "",
-        "RING-DEGREE SWEEP — Mult wall time",
+        "RING-DEGREE SWEEP — Mult wall time, engine ms per row",
         f"{'n':>7}{'params':>14}{'log2 q':>8}{'Mult':>11}{'Mult/s':>9}"
-        f"{'ceiling':>11}",
+        f"{'ceiling':>11}{'fwd/row':>10}{'inv/row':>10}",
     ]
     for point in sweep:
         lines.append(
             f"{point['n']:>7}{point['params']:>14}{point['log2_q']:>8}"
             f"{point['mult_ms']:>9.1f}ms{point['mult_ops_per_s']:>9.2f}"
             f"{point['mult_ceiling_ms']:>9.1f}ms"
+            f"{point['forward_row_ms']:>8.3f}ms"
+            f"{point['inverse_row_ms']:>8.3f}ms"
         )
     lines.append("(min over gc-disabled rounds; ceilings are the "
-                 "absolute regression gates)")
+                 "absolute regression gates; per-row engine times over "
+                 "the k_q + k_p tensor basis are ungated)")
     save_result("fv_throughput", "\n".join(lines))
 
     assert mult_ms <= MULT_CEILING_MS, (

@@ -9,7 +9,9 @@ the chain to a performance-over-time table for the workflow summary::
 
 One row per record (oldest first): when it was measured, at which
 commit, the headline Mult/Rotate wall time (ms and ops/s), and the
-per-ring-degree Mult wall time of the sweep. Records written before
+per-ring-degree Mult wall time of the sweep, then a table of the
+sweep's gemm-engine forward / inverse ms per row for the records that
+carry them. Records written before
 the gates became absolute carry a speedup over a since-deleted
 per-row baseline instead; those cells render as that speedup. Sweep
 columns union over every record so old records (measured before a
@@ -60,6 +62,28 @@ def render(records: list[dict]) -> str:
         ] + [_cell(by_n[n], "mult_ms", "mult_speedup") if n in by_n
              else "" for n in sweep_ns]
         lines.append("| " + " | ".join(row) + " |")
+    engine_ns = sorted({point["n"] for record in records
+                        for point in record.get("sweep", [])
+                        if "forward_row_ms" in point})
+    if engine_ns:
+        lines += ["", "### Engine row transforms (ms per row, "
+                      "forward / inverse)", ""]
+        header = ["date", "sha"] + [f"n={n}" for n in engine_ns]
+        lines.append("| " + " | ".join(header) + " |")
+        lines.append("|" + "---|" * len(header))
+        for record in records:
+            by_n = {point["n"]: point for point in record.get("sweep", [])
+                    if "forward_row_ms" in point}
+            if not by_n:
+                continue
+            meta = record.get("meta", {})
+            row = [
+                str(meta.get("recorded_at", "?")).split("T")[0],
+                str(meta.get("git_sha", "?")),
+            ] + [f"{by_n[n]['forward_row_ms']:.3f} / "
+                 f"{by_n[n]['inverse_row_ms']:.3f}" if n in by_n else ""
+                 for n in engine_ns]
+            lines.append("| " + " | ".join(row) + " |")
     if records:
         latest = records[-1]
         program = latest.get("program", {})

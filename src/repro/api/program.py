@@ -24,6 +24,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from ..errors import NoiseBudgetExhausted, ParameterError
 from ..fv.ciphertext import Ciphertext
 from ..fv.encoder import Plaintext
@@ -157,6 +159,8 @@ class CiphertextHandle:
             return other
         if isinstance(other, Plaintext):
             return other
+        if isinstance(other, (int, np.integer)):
+            return self.session.scalar_plain(other)
         try:
             return self.session.encode(other)
         except (TypeError, ValueError):

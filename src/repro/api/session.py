@@ -67,6 +67,9 @@ class Session:
         self._plain_pool_limit = 256
         self._plain_ntt_pool: dict[int, tuple[Plaintext, np.ndarray]] = {}
         self._plain_delta_pool: dict[int, tuple[Plaintext, np.ndarray]] = {}
+        # One encoding per scalar constant, so ``handle * 3`` in every
+        # program hands the id-keyed pools the same object.
+        self._scalar_plains: dict[int, Plaintext] = {}
 
     @classmethod
     def from_parts(cls, context: FvContext, keys: KeySet, *,
@@ -129,6 +132,21 @@ class Session:
             return self.encoder.encode(arr)
         return Plaintext.from_list(arr.tolist(), self.params.n,
                                    self.params.t)
+
+    def scalar_plain(self, value: int) -> Plaintext:
+        """The session's one encoding of a scalar constant.
+
+        Reused across programs (bounded FIFO, like the NTT pools), so
+        a scalar operand is transformed once per session rather than
+        once per program.
+        """
+        key = int(value)
+        plain = self._scalar_plains.get(key)
+        if plain is None:
+            if len(self._scalar_plains) >= self._plain_pool_limit:
+                self._scalar_plains.pop(next(iter(self._scalar_plains)))
+            plain = self._scalar_plains[key] = self.encode(key)
+        return plain
 
     def negate_plain(self, plain: Plaintext) -> Plaintext:
         """The additive inverse of an encoded plaintext (mod t)."""

@@ -3,8 +3,9 @@
 This is the software analogue of the paper's headline parallelism: all
 ``k`` RPAUs transform their residue channels *simultaneously*. A
 :class:`BasisTransformer` transforms the whole ``(k, n)`` residue
-matrix of an RNS polynomial in one shot instead of looping over limbs
-in Python the way the per-row
+matrix of an RNS polynomial in one call, a cache-sized block of
+channels per pass, instead of looping over limbs one at a time in
+Python the way the per-row
 :class:`~repro.nttmath.ntt.NegacyclicTransformer` path does.
 
 The engine uses the four-step decomposition ``n = n1 * n2`` (the same
@@ -50,6 +51,8 @@ from __future__ import annotations
 import logging
 import os
 import threading
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -84,6 +87,12 @@ PARALLEL_MIN_WORK = int(os.environ.get("REPRO_PARALLEL_MIN_WORK",
 the active executor. Below it thread dispatch overhead beats the gemm
 time; the parallel CI leg sets ``REPRO_PARALLEL_MIN_WORK=1`` to force
 every transform in the suite through the tiled path."""
+
+_BLOCK_ELEMS = 24576
+"""Residues per channel block of the stage loop (192 KiB per int64
+plane): the handful of scratch planes one block touches stay in a
+2 MiB L2, the software twin of one RPAU streaming its channel through
+its own BRAM. n = 8192 runs 3 channels per block, n >= 16384 one."""
 
 
 # -- transform accounting ------------------------------------------------------
@@ -422,10 +431,15 @@ class BasisTransformer:
     * the post-gemm reductions run in float64 too (quotients are below
       2^23, so ``g - rint(g/q) * q`` is exact), leaving the Shoup
       twiddle multiply as the only integer element-wise stage;
-    * a ``(j, k, n)`` stack of polynomials over the same basis shares
-      one dgemm pair — polynomial ``idx`` occupies column block ``idx``
-      of the limb matrices — so the tensor step's four lifted operands
-      or relinearisation's digit matrices transform in a single call.
+    * each polynomial is walked in channel blocks of at most
+      :attr:`block` residue rows (``_BLOCK_ELEMS // n``, at least one):
+      a block runs every stage before the next block starts, so the
+      ~20 element-wise passes of a transform stream cache-resident
+      planes instead of the whole ``(k, n)`` matrix. Channels are
+      independent and every block uses the same geometry and limb
+      plans, so the partition never changes a bit of the output;
+    * a relinearisation digit stack shares one tall stage-0 dgemm per
+      channel block (:meth:`_GemmPlan.apply_broadcast_many`).
 
     This is what "as fast as numpy allows" looks like for an exact NTT:
     the butterflies' many memory-bound element passes become a handful
@@ -436,8 +450,7 @@ class BasisTransformer:
     :func:`basis_transformer`.
     """
 
-    def __init__(self, primes: tuple[int, ...], n: int,
-                 geometry: _Geometry | None = None) -> None:
+    def __init__(self, primes: tuple[int, ...], n: int) -> None:
         self.primes = tuple(int(p) for p in primes)
         self.n = n
         self.stages = log2_exact(n)
@@ -451,8 +464,7 @@ class BasisTransformer:
                 raise ParameterError(
                     f"modulus {p} is not NTT-friendly for degree {n}"
                 )
-        if geometry is None:
-            geometry = _plan_geometry(n, max(self.primes))
+        geometry = _plan_geometry(n, max(self.primes))
         if geometry is None:
             raise ParameterError(
                 f"degree {n} admits no exact limb-split factorisation; "
@@ -461,18 +473,19 @@ class BasisTransformer:
         self.geometry = geometry
         self.factors = geometry.factors
         self.k = len(self.primes)
+        #: Most channels one block of the stage loop carries.
+        self.block = min(self.k, max(1, _BLOCK_ELEMS // n))
         self.primes_col = np.array(self.primes, dtype=np.int64)[:, None]
-        # Modulus tables shared by both directions and the scratch pool.
-        p_int = np.repeat(self.primes_col, n, axis=1)
-        self._mod_tables = (p_int, p_int.astype(np.float64), 1.0 / p_int)
+        # (k, 1) modulus columns (int, float, reciprocal) that every
+        # element-wise pass broadcasts along the row.
+        p_f = self.primes_col.astype(np.float64)
+        self._mod_tables = (self.primes_col, p_f, 1.0 / p_f)
         self._fwd = _GemmPlan(self, inverse=False)
         self._inv = _GemmPlan(self, inverse=True)
         self._scaled_inv: dict[tuple[int, ...], _GemmPlan] = {}
         # Scratch is per thread: tile tasks running on pool workers each
         # get their own buffers, so concurrent tiles never alias.
         self._scratch = threading.local()
-        # Channel-subset transformers for tiled dispatch, keyed (c0, c1).
-        self._subsets: dict[tuple[int, int], BasisTransformer] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"BasisTransformer(k={self.k}, n={self.n}, "
@@ -483,18 +496,19 @@ class BasisTransformer:
     def _buffers(self) -> tuple[list, list, tuple[np.ndarray, ...]]:
         """Preallocated scratch, shared by both transform directions.
 
-        Kept cache-sized on purpose: stacks are processed one
-        polynomial at a time (whole-stack buffers would spill the
-        last-level cache and turn every pass memory-bound), and forward
-        and inverse share one set so the hot loop keeps touching the
-        same buffers. Per stage: a float64 limb stack and a float64
-        gemm output; shared: two int64 ping-pong state planes and one
-        float64 temporary. The set is thread-local, so tile tasks
-        executing on pool worker threads never share mutable state.
+        Sized for one channel block (first dimension :attr:`block`),
+        not the whole basis: the stage loop walks each polynomial block
+        by block, so these planes stay L2-resident across a block's
+        passes, and forward and inverse share one set so the hot loop
+        keeps touching the same buffers. Per stage: a float64 limb
+        stack and a float64 gemm output; shared: two int64 ping-pong
+        state planes and one float64 temporary. The set is
+        thread-local, so tile tasks executing on pool worker threads
+        never share mutable state.
         """
         bufs = getattr(self._scratch, "bufs", None)
         if bufs is None:
-            k, n = self.k, self.n
+            k, n = self.block, self.n
             limbs = []
             gemm_out = []
             for stage in self.geometry.stages:
@@ -536,28 +550,14 @@ class BasisTransformer:
             )
         return arr, stacked
 
-    # -- tiled dispatch ------------------------------------------------------------
+    # -- channel blocks and tiled dispatch ------------------------------------------
 
-    def subset(self, c0: int, c1: int) -> BasisTransformer:
-        """A transformer for channels ``[c0, c1)`` of this basis.
-
-        Built with *this* transformer's stage geometry forced, not the
-        geometry the subset's own maximum prime would plan: the limb
-        bound is monotone in the modulus, so the parent's proof covers
-        every subset, and identical geometry means identical limb
-        plans — tile output (lazy representatives included) is
-        bit-for-bit the serial engine's. Cached per range; the cache
-        is populated by the dispatching thread before fan-out, so
-        worker threads only ever read it.
-        """
-        if c0 == 0 and c1 == self.k:
-            return self
-        sub = self._subsets.get((c0, c1))
-        if sub is None:
-            sub = BasisTransformer(self.primes[c0:c1], self.n,
-                                   geometry=self.geometry)
-            self._subsets[(c0, c1)] = sub
-        return sub
+    def _blocks(self, c0: int, c1: int) -> list[tuple[int, int]]:
+        """Even channel blocks of ``[c0, c1)``, each at most
+        :attr:`block` channels wide."""
+        width = c1 - c0
+        return [(c0 + lo, c0 + hi)
+                for lo, hi in split_range(width, -(-width // self.block))]
 
     def scaled_plan(self, constants: tuple[int, ...]) -> _GemmPlan:
         """The cached scaled-inverse plan for one constants tuple."""
@@ -570,8 +570,9 @@ class BasisTransformer:
     def _tile_plan(self, j: int, target: int) -> list[tuple[int, int, int]]:
         """Deterministic (poly, c0, c1) tiles, about ``target`` of them.
 
-        Polynomials split first (free: no subset transformers needed),
-        then channels, evenly per polynomial — the limb x channel
+        Polynomials split first, then channels, evenly per polynomial
+        (a channel tile runs the same plan on its channel range, just
+        like a block of the serial loop) — the limb x channel
         decomposition the paper's residue-parallel datapath is built
         around.
         """
@@ -586,8 +587,8 @@ class BasisTransformer:
 
         The tiled path is taken only when the active executor has
         real workers and the batch clears :data:`PARALLEL_MIN_WORK`;
-        it produces bit-identical output (disjoint tiles, inherited
-        geometry), so the choice is invisible to every caller — and to
+        it produces bit-identical output (disjoint tiles of the same
+        plan), so the choice is invisible to every caller — and to
         the transform counters, which count at this dispatcher level
         either way.
         """
@@ -611,21 +612,12 @@ class BasisTransformer:
                 for idx in range(j):
                     plan.apply(self, arr[idx], out[idx], lazy=lazy)
             return
-        # Prebuild everything worker threads would otherwise race to
-        # create lazily: subset transformers, their scaled plans, and
-        # the Shoup twiddle tables. Process workers rebuild these in
-        # their own interpreters, so only address-space-sharing
-        # executors need the warm-up.
+        # Worker threads would otherwise race to build the Shoup
+        # twiddle tables lazily; process workers rebuild them in their
+        # own interpreters, so only address-space-sharing executors
+        # need the warm-up.
         if executor.shares_address_space:
-            for c0, c1 in {(t[1], t[2]) for t in tiles}:
-                sub = self.subset(c0, c1)
-                if op == "inverse_scaled":
-                    assert constants is not None
-                    sub.scaled_plan(tuple(constants[c0:c1])).tables()
-                elif op == "inverse":
-                    sub._inv.tables()
-                else:
-                    sub._fwd.tables()
+            plan.tables()
         common = (op, self.primes, self.n, bool(lazy), constants)
         timings = executor.map_array_tiles("ntt_tile", arr, out, tiles,
                                            common)
@@ -748,7 +740,8 @@ class _GemmPlan:
     applied in) with lazily-built Shoup quotients. The psi pre-twist
     (forward) and the ``psi^-j / n`` post-scale (inverse) are folded
     into these tables, so :meth:`apply` runs no standalone scaling
-    passes.
+    passes. The tables are built once for the whole basis; a channel
+    block or tile of the stage loop reads row views of them.
 
     Index algebra (the generalisation the tables implement): with
     ``n = f_0 * ... * f_{S-1}``, input index
@@ -930,165 +923,208 @@ class _GemmPlan:
         return ((0,) + tuple(range(2, 2 + remaining)) + (1,)
                 + tuple(range(2 + remaining, num + 1)))
 
-    def _stage_shape(self, bt: BasisTransformer, t: int) -> tuple:
-        """(k, j_t, i_{t+1}, ..., i_{S-1}, j_{t-1}, ..., j_0)."""
-        factors = bt.geometry.factors
-        return ((bt.k, factors[t]) + tuple(factors[t + 1:])
+    @staticmethod
+    def _stage_shape(factors: tuple[int, ...], rows: int, t: int) -> tuple:
+        """(rows, j_t, i_{t+1}, ..., i_{S-1}, j_{t-1}, ..., j_0)."""
+        return ((rows, factors[t]) + tuple(factors[t + 1:])
                 + tuple(reversed(factors[:t])))
 
     def apply(self, bt: BasisTransformer, x: np.ndarray,
-              out: np.ndarray, lazy: bool = False) -> None:
-        """Transform one (k, n) matrix into ``out`` (natural order).
+              out: np.ndarray, lazy: bool = False,
+              channels: tuple[int, int] | None = None) -> None:
+        """Transform the rows of ``x`` into ``out`` (natural order).
 
+        ``x`` and ``out`` hold channels ``[c0, c1)`` of the basis
+        (``channels``; all ``k`` by default), walked in channel blocks.
         Entries of ``x`` must be non-negative and below 2^30 (canonical
         residues and raw 30-bit digits always are — the bound the limb
         plans are proved exact against); ``out`` receives canonical
         [0, q) values (or lazy [0, 2q) ones when ``lazy`` is set).
         """
-        f0 = bt.geometry.factors[0]
-        self._run(bt, x.reshape(bt.k, f0, bt.n // f0), out, lazy,
-                  broadcast=False)
+        c0, c1 = channels or (0, bt.k)
+        with _row_buffers(bt.n):
+            for b0, b1 in bt._blocks(c0, c1):
+                self._run(bt, b0, b1, x[b0 - c0:b1 - c0],
+                          out[b0 - c0:b1 - c0], lazy)
 
     def apply_broadcast(self, bt: BasisTransformer, row: np.ndarray,
-                        out: np.ndarray, lazy: bool = False) -> None:
+                        out: np.ndarray, lazy: bool = False,
+                        channels: tuple[int, int] | None = None) -> None:
         """Transform one raw digit row under *every* basis prime.
 
         ``row`` is a length-n vector of non-negative values below 2^30
         — typically an unreduced raw-residue digit. Because
         ``NTT_k(v) ≡ NTT_k(v mod q_k)`` and the engine's reductions are
-        exact, ``out`` (shape (k, n)) is bit-identical to broadcasting
-        the row across the basis, reducing per channel, and
-        transforming each channel — but the shared source means one
-        limb split and a single tall dgemm cover stage 1 of all k
-        channels at once (the paper's fused WordDecomp + NTT digit
-        pipeline).
+        exact, ``out`` (channels ``[c0, c1)``, all ``k`` by default) is
+        bit-identical to broadcasting the row across the basis,
+        reducing per channel, and transforming each channel — but the
+        shared source means one limb split covers stage 1 of every
+        channel block, each a single tall dgemm (the paper's fused
+        WordDecomp + NTT digit pipeline).
         """
-        f0 = bt.geometry.factors[0]
-        self._run(bt, row.reshape(1, f0, bt.n // f0), out, lazy,
-                  broadcast=True)
+        c0, c1 = channels or (0, bt.k)
+        stage = bt.geometry.stages[0]
+        f0 = stage.length
+        limbs, _, (_, alt, _) = bt._buffers()
+        # The shared split lives in block row 0 of the stage-0 limb
+        # buffer, which the broadcast stage loop never writes.
+        shared = limbs[0][:1]
+        self._split_into(row.reshape(1, f0, bt.n // f0), shared,
+                         stage.split, alt[:1].reshape(1, f0, -1))
+        with _row_buffers(bt.n):
+            for b0, b1 in bt._blocks(c0, c1):
+                self._run(bt, b0, b1, None, out[b0 - c0:b1 - c0], lazy,
+                          shared=shared[0])
 
     def apply_broadcast_many(self, bt: BasisTransformer,
                              rows: np.ndarray, out: np.ndarray,
                              lazy: bool = False) -> None:
         """Broadcast-transform a whole digit stack with one shared
-        stage-0 dgemm.
+        stage-0 dgemm per channel block.
 
         ``rows`` is a ``(j, n)`` stack of raw digit rows, ``out`` the
         ``(j, k, n)`` result. Where :meth:`apply_broadcast` shares one
-        limb split across the ``k`` channels of a *single* digit, this
-        fast path additionally batches stage 0 across all ``j``
-        digits: digit ``idx`` occupies column block ``idx`` of one
-        shared ``(c0*f0, j*rest)`` limb matrix, so a single tall dgemm
-        computes the first sub-DFT of every (digit, channel) pair —
-        relinearisation's ``k`` digit transforms collapse from ``k``
-        stage-0 gemm calls to one. Gemm columns are independent and
-        every partial sum is an exact integer at or below 2^53, so the
-        result is bit-identical to ``j`` separate
-        :meth:`apply_broadcast` calls; the remaining stages re-enter
-        the shared stage loop per digit via its ``stage0`` seed.
+        limb split across the channels of a *single* digit, this fast
+        path additionally batches stage 0 across all ``j`` digits:
+        digit ``idx`` occupies column block ``idx`` of one shared
+        ``(c0*f0, j*rest)`` limb matrix, so a single tall dgemm per
+        channel block computes the first sub-DFT of every (digit,
+        channel) pair. Gemm columns are independent and every partial
+        sum is an exact integer at or below 2^53, so the result is
+        bit-identical to ``j`` separate :meth:`apply_broadcast` calls;
+        the remaining stages re-enter the shared stage loop per digit
+        via its ``stage0`` seed. The gemm output and reduction
+        temporaries are ``(block*f0, j*rest)``, not ``(k*f0, j*rest)``.
         """
-        k, n = bt.k, bt.n
         stage = bt.geometry.stages[0]
         f0 = stage.length
-        rest = n // f0
+        rest = bt.n // f0
         j = rows.shape[0]
-        c0 = stage.split.count
         cols = j * rest
         # Interleave digits along the column axis: column block idx of
         # (f0, j*rest) holds digit idx's (f0, rest) coefficient matrix.
         values = np.ascontiguousarray(
             rows.reshape(j, f0, rest).transpose(1, 0, 2)
         ).reshape(1, f0, cols)
-        limbs = np.empty((1, c0 * f0, cols), dtype=np.float64)
-        scratch = np.empty((1, f0, cols), dtype=np.int64)
-        self._split_into(values, limbs, stage.split, scratch)
-        g = np.empty((k * f0, cols), dtype=np.float64)
-        np.matmul(self.steps[0].reshape(k * f0, c0 * f0), limbs[0],
-                  out=g)
-        p_col = np.repeat(bt.primes_col, f0, axis=0).astype(np.float64)
+        limbs = np.empty((1, stage.split.count * f0, cols),
+                         dtype=np.float64)
+        g = np.empty((bt.block, f0, cols), dtype=np.float64)
         q_f = np.empty_like(g)
-        state = np.empty((k * f0, cols), dtype=np.int64)
-        self._reduce_lazy(g, p_col, 1.0 / p_col, q_f, state)
-        stacked = state.reshape(k, f0, j, rest)
-        for idx in range(j):
-            self._run(bt, None, out[idx], lazy, broadcast=False,
-                      stage0=stacked[:, :, idx, :])
+        state = np.empty(g.shape, dtype=np.int64)
+        self._split_into(values, limbs, stage.split, state[:1])
+        _, p_f, inv_p = bt._mod_tables
+        with _row_buffers(bt.n):
+            for b0, b1 in bt._blocks(0, bt.k):
+                b = b1 - b0
+                np.matmul(self.steps[0][b0:b1].reshape(b * f0, -1),
+                          limbs[0], out=g[:b].reshape(b * f0, cols))
+                self._reduce_lazy(g[:b], p_f[b0:b1, :, None],
+                                  inv_p[b0:b1, :, None], q_f[:b],
+                                  state[:b])
+                stacked = state[:b].reshape(b, f0, j, rest)
+                for idx in range(j):
+                    self._run(bt, b0, b1, None, out[idx, b0:b1], lazy,
+                              stage0=stacked[:, :, idx, :])
 
-    def _run(self, bt: BasisTransformer, x: np.ndarray | None,
-             out: np.ndarray, lazy: bool, broadcast: bool,
+    def _run(self, bt: BasisTransformer, b0: int, b1: int,
+             x: np.ndarray | None, out: np.ndarray, lazy: bool,
+             shared: np.ndarray | None = None,
              stage0: np.ndarray | None = None) -> None:
-        """The stage loop shared by :meth:`apply` and
-        :meth:`apply_broadcast`: per stage — optional canonicalise,
-        limb split, one dgemm, float reduction — with a Shoup twiddle
-        multiply and an axis rotation between stages. A ``stage0``
-        seed (the lazy ``(k, f0, rest)`` output of a stage-0 gemm
-        computed elsewhere, see :meth:`apply_broadcast_many`) skips
-        the first gemm and enters the loop at its twiddle."""
-        k, n = bt.k, bt.n
+        """The stage loop over one channel block ``[b0, b1)``: per
+        stage — optional canonicalise, limb split, one dgemm, float
+        reduction — with a Shoup twiddle multiply and an axis rotation
+        between stages. Stage matrices, twiddle tables and modulus
+        columns are row views of this plan's whole-basis tables.
+        ``x``/``out`` are the block's ``(b1 - b0, n)`` rows. A
+        ``shared`` limb split (one broadcast digit row, see
+        :meth:`apply_broadcast`) replaces ``x`` at stage 0; a
+        ``stage0`` seed (the lazy ``(b, f0, rest)`` output of a
+        stage-0 gemm computed elsewhere, see
+        :meth:`apply_broadcast_many`) skips the first gemm and enters
+        the loop at its twiddle."""
+        rows, n = b1 - b0, bt.n
+        factors = bt.geometry.factors
         stages = bt.geometry.stages
         num = len(stages)
         limbs, gemm_out, (cur, alt, f_tmp) = bt._buffers()
-        p_int, p_f, inv_p = bt._mod_tables
+        cur, alt, f_tmp = cur[:rows], alt[:rows], f_tmp[:rows]
+        p_int = bt._mod_tables[0][b0:b1]
+        # (rows, 1, 1): broadcast over the (rows, f, rest) gemm output.
+        p_f, inv_p = (col[b0:b1, :, None] for col in bt._mod_tables[1:])
         twiddle_tables = self.tables()
         for t, stage in enumerate(stages):
             f = stage.length
             rest = n // f
-            g = gemm_out[t]
+            g = gemm_out[t][:rows]
+            step = self.steps[t][b0:b1]
             if t == 0 and stage0 is not None:
-                np.copyto(cur.reshape(k, f, rest), stage0)
+                np.copyto(cur.reshape(rows, f, rest), stage0)
             else:
-                source = x if t == 0 else cur.reshape(k, f, rest)
-                if t == 0 and broadcast:
-                    c0 = stage.split.count
-                    shared = limbs[0].reshape(k * c0 * f, rest)[: c0 * f]
-                    self._split_into(x, shared.reshape(1, c0 * f, rest),
-                                     stage.split,
-                                     alt.reshape(k, f, rest)[:1])
-                    np.matmul(self.steps[t].reshape(k * f, c0 * f),
-                              shared, out=g.reshape(k * f, rest))
+                if t == 0 and shared is not None:
+                    np.matmul(step.reshape(rows * f, -1), shared,
+                              out=g.reshape(rows * f, rest))
                 else:
-                    if stage.canonical_in:
-                        # The lazy [0, 2q) bound would force a wider
-                        # limb split; one conditional subtract restores
-                        # canonical inputs (unsigned-minimum trick).
-                        np.subtract(cur, p_int, out=alt)
-                        np.minimum(cur.view(np.uint64),
-                                   alt.view(np.uint64),
-                                   out=cur.view(np.uint64))
-                    self._split_into(source, limbs[t], stage.split,
-                                     alt.reshape(k, f, rest))
-                    np.matmul(self.steps[t], limbs[t], out=g)
-                self._reduce_lazy(g, p_f.reshape(g.shape),
-                                  inv_p.reshape(g.shape),
-                                  f_tmp.reshape(g.shape),
+                    if t == 0:
+                        source = x.reshape(rows, f, rest)
+                    else:
+                        source = cur.reshape(rows, f, rest)
+                        if stage.canonical_in:
+                            # The lazy [0, 2q) bound would force a
+                            # wider limb split; one conditional
+                            # subtract restores canonical inputs
+                            # (unsigned-minimum trick).
+                            np.subtract(cur, p_int, out=alt)
+                            np.minimum(cur.view(np.uint64),
+                                       alt.view(np.uint64),
+                                       out=cur.view(np.uint64))
+                    self._split_into(source, limbs[t][:rows], stage.split,
+                                     alt.reshape(rows, f, rest))
+                    np.matmul(step, limbs[t][:rows], out=g)
+                self._reduce_lazy(g, p_f, inv_p, f_tmp.reshape(g.shape),
                                   cur.reshape(g.shape))
             if t < num - 1:
                 tw, tw_sh = twiddle_tables[t]
-                _shoup_mul(cur, tw, tw_sh, p_int, alt)
+                _shoup_mul(cur, tw[b0:b1], tw_sh[b0:b1], p_int, alt)
                 # Rotate the produced axis behind the remaining input
                 # axes (one strided copy), ping-ponging the state
                 # planes.
-                shape = self._stage_shape(bt, t)
+                shape = self._stage_shape(factors, rows, t)
+                axes = self._transpose_axes(num, t)
                 np.copyto(
-                    alt.reshape(
-                        tuple(shape[axis]
-                              for axis in self._transpose_axes(num, t))
-                    ),
-                    cur.reshape(shape).transpose(
-                        self._transpose_axes(num, t)
-                    ),
+                    alt.reshape(tuple(shape[axis] for axis in axes)),
+                    cur.reshape(shape).transpose(axes),
                 )
                 cur, alt = alt, cur
         # The last stage's gemm emits the natural-order result: final
         # canonical reduction [0, 2q) -> [0, q) straight into the
         # caller's buffer (or the lazy copy).
         if lazy:
-            np.copyto(out.reshape(k, n), cur)
+            np.copyto(out.reshape(rows, n), cur)
         else:
             np.subtract(cur, p_int, out=alt)
             np.minimum(cur.view(np.uint64), alt.view(np.uint64),
-                       out=out.reshape(k, n).view(np.uint64))
+                       out=out.reshape(rows, n).view(np.uint64))
 
+
+@contextmanager
+def _row_buffers(n: int) -> Iterator[None]:
+    """Scope numpy's ufunc buffer to one residue row of ``n`` elements.
+
+    The stage loop's modulus columns broadcast along rows. When a row
+    is shorter than numpy's ufunc buffer (8192 elements by default),
+    the iterator copies the column operand into chunks spanning several
+    rows, which made each broadcast pass about 2.5x slower than a full
+    ``(k, n)`` plane at n = 4096; a one-row buffer keeps every inner
+    loop inside a row. The setting is per thread and restored on exit.
+    """
+    if n >= np.getbufsize():
+        yield
+        return
+    previous = np.setbufsize(max(n, 16))
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
 
 
 def _shoup_mul(values: np.ndarray, table: np.ndarray,

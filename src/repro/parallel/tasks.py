@@ -8,14 +8,13 @@ serial executors call the same functions directly, so every executor
 runs byte-for-byte the same tile code.
 
 The one engine task, ``ntt_tile``, runs a single (polynomial, channel
-range) tile of a batched transform through a *channel-subset*
-:class:`~repro.nttmath.batch.BasisTransformer` that inherits the
-parent's stage geometry — same limb plans, same reduction schedule,
-so tiled output is bit-identical to the serial loop (see
-``BasisTransformer.subset``). Imports of the engine stay inside the
-function bodies: this module must be importable by a bare spawned
-worker before the heavy numeric stack is touched, and the engine
-imports :mod:`repro.parallel` itself.
+range) tile of a batched transform through the basis's own plan,
+restricted to the tile's channels — the same channel-range entry the
+serial engine walks its cache-sized blocks through, so tiled output
+is bit-identical to the serial loop. Imports of the engine stay
+inside the function bodies: this module must be importable by a bare
+spawned worker before the heavy numeric stack is touched, and the
+engine imports :mod:`repro.parallel` itself.
 """
 
 from __future__ import annotations
@@ -46,8 +45,8 @@ def _ntt_tile(src: Any, dst: Any, tile: tuple[int, int, int],
     """One (polynomial, channel-range) tile of a batched transform.
 
     ``common`` is ``(op, primes, n, lazy, constants)`` — enough to
-    rebuild the parent transformer (cached per process) and carve the
-    channel-subset plan out of it. ``src``/``dst`` are the full
+    rebuild the basis transformer (cached per process) and pick the
+    plan it runs on channels ``[c0, c1)``. ``src``/``dst`` are the full
     stacked arrays; the tile touches only its own disjoint slices, so
     any number of tiles may run concurrently.
     """
@@ -55,15 +54,18 @@ def _ntt_tile(src: Any, dst: Any, tile: tuple[int, int, int],
 
     op, primes, n, lazy, constants = common
     jdx, c0, c1 = tile
-    sub = batch.basis_transformer(primes, n).subset(c0, c1)
+    bt = batch.basis_transformer(primes, n)
+    if op == "forward_broadcast":
+        bt._fwd.apply_broadcast(bt, src[jdx], dst[jdx, c0:c1], lazy=lazy,
+                                channels=(c0, c1))
+        return
     if op == "forward":
-        sub._fwd.apply(sub, src[jdx, c0:c1], dst[jdx, c0:c1], lazy=lazy)
+        plan = bt._fwd
     elif op == "inverse":
-        sub._inv.apply(sub, src[jdx, c0:c1], dst[jdx, c0:c1])
+        plan = bt._inv
     elif op == "inverse_scaled":
-        plan = sub.scaled_plan(tuple(constants[c0:c1]))
-        plan.apply(sub, src[jdx, c0:c1], dst[jdx, c0:c1])
-    elif op == "forward_broadcast":
-        sub._fwd.apply_broadcast(sub, src[jdx], dst[jdx, c0:c1], lazy=lazy)
+        plan = bt.scaled_plan(tuple(constants))
     else:  # pragma: no cover - dispatcher bug, not a runtime state
         raise ValueError(f"unknown ntt tile op {op!r}")
+    plan.apply(bt, src[jdx, c0:c1], dst[jdx, c0:c1], lazy=lazy,
+               channels=(c0, c1))

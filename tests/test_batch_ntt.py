@@ -17,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.nttmath.batch as batch_mod
 from repro.api import LocalBackend, Session
 from repro.fv.galois import GaloisEngine
 from repro.nttmath.batch import (
@@ -36,6 +37,7 @@ from repro.nttmath.batch import (
 )
 from repro.nttmath.ntt import NegacyclicTransformer, intt_iterative, ntt_iterative
 from repro.nttmath.primes import find_ntt_primes
+from repro.parallel import use_executor
 from repro.params import mini, toy
 from repro.poly.rns_poly import RnsPoly
 from repro.rns.basis import basis_for
@@ -253,6 +255,112 @@ class TestLargeRingEngine:
         )
         wide = tuple(find_ntt_primes(31, 64, 1))
         assert "4q < 2^32" in engine_unsupported_reason(wide, 64)
+
+
+@pytest.fixture
+def blocked(monkeypatch):
+    """Build the cached transformer of a basis under a patched
+    channel-block size (the tile path looks the transformer up in the
+    same cache, so threads tiles see the patched blocks too)."""
+
+    def build(primes, n, block):
+        monkeypatch.setattr(batch_mod, "_BLOCK_ELEMS", block * n)
+        basis_transformer.cache_clear()
+        bt = basis_transformer(primes, n)
+        assert bt.block == block
+        return bt
+
+    yield build
+    basis_transformer.cache_clear()
+
+
+class TestChannelBlocks:
+    """Walking a polynomial in channel blocks only partitions
+    independent channels: every block size, uneven last blocks
+    included, is bit-exact against the paper-literal oracle."""
+
+    @pytest.mark.parametrize("params", [toy(), mini()], ids=["toy", "mini"])
+    def test_every_block_size_matches_iterative(self, params, blocked):
+        primes = params.q_primes + params.p_primes
+        n, k = params.n, len(primes)
+        col = np.array(primes, dtype=np.int64)[:, None]
+        rng = np.random.default_rng(n + k)
+        mat = rng.integers(0, col, size=(k, n))
+        digits = rng.integers(0, 1 << 30, size=(3, n))
+        consts = rng.integers(1, 1 << 30, size=k)
+        constants = tuple(int(c) for c in consts)
+        want_fwd = _iterative_forward(primes, mat)
+        want_bcast = np.stack([_iterative_forward(primes, row % col)
+                               for row in digits])
+        want_scaled = mat * (consts[:, None] % col) % col
+        reference_lazy = None
+        for block in range(k, 0, -1):
+            bt = blocked(primes, n, block)
+            widths = [b1 - b0 for b0, b1 in bt._blocks(0, k)]
+            assert sum(widths) == k and max(widths) <= block
+            assert len(widths) == -(-k // block)
+            assert np.array_equal(bt.forward(mat), want_fwd)
+            lazy = bt.forward(mat, lazy=True)
+            assert lazy.max() < 2 * max(primes)
+            assert np.array_equal(lazy % col, want_fwd)
+            if reference_lazy is None:
+                reference_lazy = lazy
+            assert np.array_equal(lazy, reference_lazy)
+            assert np.array_equal(bt.inverse(want_fwd), mat)
+            assert np.array_equal(bt.inverse_scaled(want_fwd, constants),
+                                  want_scaled)
+            assert np.array_equal(bt.forward_broadcast(digits[:1]),
+                                  want_bcast[:1])
+            assert np.array_equal(bt.forward_broadcast(digits), want_bcast)
+            lazy_bcast = bt.forward_broadcast(digits, lazy=True)
+            assert np.array_equal(lazy_bcast % col, want_bcast)
+
+    @pytest.mark.parametrize("block", [1, 2, 4])
+    def test_thread_tiles_match_serial(self, blocked, monkeypatch, block):
+        monkeypatch.setattr(batch_mod, "PARALLEL_MIN_WORK", 1)
+        params = mini()
+        primes = params.q_primes + params.p_primes
+        n, k = params.n, len(primes)
+        bt = blocked(primes, n, block)
+        rng = np.random.default_rng(block)
+        stack = rng.integers(0, bt.primes_col, size=(2, k, n))
+        digits = rng.integers(0, 1 << 30, size=(3, n))
+        constants = tuple(int(p) - 11 for p in primes)
+
+        def transforms():
+            return [bt.forward(stack), bt.forward(stack, lazy=True),
+                    bt.inverse(stack), bt.inverse_scaled(stack, constants),
+                    bt.forward_broadcast(digits),
+                    bt.forward_broadcast(digits[:1], lazy=True)]
+
+        with use_executor("serial"):
+            want = transforms()
+        with use_executor("threads", 3):
+            got = transforms()
+        for expected, actual in zip(want, got, strict=True):
+            assert np.array_equal(expected, actual)
+
+    def test_numpy_buffer_setting_is_restored(self):
+        """Transforms of short rows scope numpy's ufunc buffer to one
+        row and hand the caller's setting back."""
+        n, k = 256, 3
+        bt = basis_transformer(_basis(n, k), n)
+        before = np.getbufsize()
+        rng = np.random.default_rng(3)
+        bt.forward(rng.integers(0, bt.primes_col, size=(2, k, n)))
+        bt.forward_broadcast(rng.integers(0, 1 << 30, size=(3, n)))
+        assert np.getbufsize() == before
+
+    def test_scratch_is_block_sized(self):
+        """The per-thread scratch holds one channel block and the
+        modulus tables are broadcast columns, not (k, n) planes."""
+        n, k = 8192, 4
+        bt = basis_transformer(_basis(n, k), n)
+        assert bt.block == 3
+        limbs, gemm_out, planes = bt._buffers()
+        for buf in (*limbs, *gemm_out, *planes):
+            assert buf.shape[0] <= bt.block
+        assert all(col.shape == (k, 1) for col in bt._mod_tables)
 
 
 class TestFallbackDiagnostics:

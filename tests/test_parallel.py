@@ -147,12 +147,30 @@ class TestBitIdentity:
             }
         assert serial_counts == parallel_counts
 
-    def test_subset_inherits_parent_geometry(self, primes):
+    def test_channel_range_matches_full_transform(self, primes, stack):
+        """A tile runs the parent plan on its channel range: every
+        range, lazy representatives included, equals those rows of the
+        whole-basis transform."""
         bt = basis_transformer(primes, N)
-        sub = bt.subset(1, 4)
-        assert sub.geometry is bt.geometry
-        assert sub.primes == primes[1:4]
-        assert bt.subset(0, K) is bt
+        constants = tuple(int(p) - 7 - i for i, p in enumerate(primes))
+        digit = np.abs(stack[0, 0]) % (1 << 29)
+        with use_executor("serial"):
+            fwd_lazy = bt.forward(stack[0], lazy=True)
+            inv = bt.inverse(stack[0])
+            scaled = bt.inverse_scaled(stack[0], constants)
+            bcast = bt.forward_broadcast(digit[None])[0]
+        plans = ((bt._fwd, fwd_lazy, True), (bt._inv, inv, False),
+                 (bt.scaled_plan(constants), scaled, False))
+        for c0 in range(K):
+            for c1 in range(c0 + 1, K + 1):
+                for plan, want, lazy in plans:
+                    got = np.empty((c1 - c0, N), dtype=np.int64)
+                    plan.apply(bt, stack[0, c0:c1], got, lazy=lazy,
+                               channels=(c0, c1))
+                    assert np.array_equal(got, want[c0:c1])
+                got = np.empty((c1 - c0, N), dtype=np.int64)
+                bt._fwd.apply_broadcast(bt, digit, got, channels=(c0, c1))
+                assert np.array_equal(got, bcast[c0:c1])
 
     def test_multiply_bit_identical_under_threads(self, toy_context,
                                                   toy_keys, rng):

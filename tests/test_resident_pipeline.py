@@ -31,7 +31,7 @@ from repro.fv.encoder import Plaintext
 from repro.fv.galois import rotation_element, slot_permutation
 from repro.fv.sampler import discrete_gaussian, uniform_ternary
 from repro.io import MAGIC, load_ciphertext, save_ciphertext
-from repro.params import mini, toy
+from repro.params import hpca19, mini, toy
 
 
 def _rewrite_header(path: Path, out: Path, mutate) -> None:
@@ -452,6 +452,26 @@ class TestOneDomain:
         assert counts["forward_rows"] == 0, counts
         assert counts["roundtrip_rows"] == 0, counts
         assert list(second.decrypt("out", size=3)) == [4, 8, 12]
+
+    def test_scalar_constant_transformed_once_per_session(self):
+        """``handle * 3`` reuses one encoding of 3 across programs, so
+        the plaintext NTT pool transforms it once and holds one entry."""
+        params = hpca19()
+        session = Session(params, seed=57)
+        values = [1, 0, 1]
+        ct = session.context.encrypt(session.encode(values),
+                                     session.keys.public, resident=True)
+        expected = [v * 3 % params.t for v in values]
+        forward_rows = []
+        for run in range(3):
+            backend = LocalBackend(session, verify=False)
+            result = backend.run(session.compile(
+                session.wrap(ct) * 3, name=f"scale{run}", check=False))
+            forward_rows.append(
+                backend.last_transform_counts["forward_rows"])
+            assert list(result.decrypt("out", size=3)) == expected
+        assert forward_rows == [params.k_q, 0, 0]
+        assert len(session._plain_ntt_pool) == 1
 
     def test_coefficient_input_is_transformed_once(self):
         """A wrapped coefficient-domain input is forward-transformed the
